@@ -19,7 +19,6 @@ from .spectral import (                                          # noqa: F401
     basis_vector,
     eigenfunction_value,
     eigenvalue,
-    ef_apply,
     heat_family,
     hr_norm,
     identity_family,

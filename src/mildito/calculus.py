@@ -28,15 +28,17 @@ import numpy as np
 
 from .gamma import FiniteRankGammaOperator, HypothesisError
 from .process import (
-    BlowUpError,
     MildItoProcessSpec,
     SamplePath,
     TimeGrid,
     WienerPath,
+    apply_columns,
+    march,
     path_rng,
     step_kernels,
+    wiener_block,
 )
-from .spectral import EvolutionFamily, SineBasisVector
+from .spectral import EvolutionFamily, SineBasisVector, identity_family
 from .testfunctions import TestFunction, TimeTestFunction
 
 __all__ = [
@@ -122,22 +124,6 @@ class EnsembleStats:
         return math.sqrt(max(float(self.sums["s_res2"]) / self.n_paths, 0.0))
 
 
-_KEYS = ("phi_stop", "phi0", "kol", "stoch", "rhs", "gap", "res")
-
-
-def _zero_sums(m_dim: int, collect_weak: bool) -> dict:
-    sums = {}
-    for key in _KEYS:
-        sums["s_" + key] = np.zeros(m_dim)
-        sums["ss_" + key] = np.zeros(m_dim)
-    sums["s_res2"] = 0.0
-    if collect_weak:
-        for key in ("lphi", "y_int", "z2_int", "mom_y", "mom_z"):
-            sums["s_" + key] = 0.0
-            sums["ss_" + key] = 0.0
-    return sums
-
-
 def _chunk_increments(grid: TimeGrid, k_modes: int, seed: int, start: int,
                       count: int) -> np.ndarray:
     """Per-path increment blocks, laid out (steps, paths, K).
@@ -155,27 +141,12 @@ def _chunk_increments(grid: TimeGrid, k_modes: int, seed: int, start: int,
     return out
 
 
-def _propagate_cols(z: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    if z.ndim == 2:
-        return factors[:, None] * z
-    return factors[None, :, None] * z
-
-
-def _apply_cols(z: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    if z.ndim == 2:
-        return dw @ z.T
-    return np.einsum("pnk,pk->pn", z, dw)
-
-
 def _chunk_stats(phi, spec, grid, kern, dW, first_path, rule, collect_stoch,
                  collect_weak, growth, start_index):
     # dW is step-major: dW[m] holds the increments of step m, shape (P, K)
     n_paths = dW.shape[1]
     m_dim = phi.output_dim
-    nodes = grid.nodes()
     dt = grid.dt
-    n, k = spec.n_modes, spec.k_modes
-    x = np.broadcast_to(spec.initial.coeffs, (n_paths, n)).copy()
 
     kol = np.zeros((n_paths, m_dim))
     stoch = np.zeros((n_paths, m_dim))
@@ -190,23 +161,13 @@ def _chunk_stats(phi, spec, grid, kern, dW, first_path, rule, collect_stoch,
     active = np.ones(n_paths, dtype=bool)
     phi_stop = np.zeros((n_paths, m_dim))
 
-    # diagonal diffusion avoids the per-step column matvec
-    diag = spec.diffusion_diagonal
-    diag_cols = None
-    if diag is not None:
-        diag_cols = np.zeros((n, k))
-        np.fill_diagonal(diag_cols, diag)
-    stoch_buf = np.zeros((n_paths, n)) if (collect_stoch and diag is not None) else None
+    # a diagonal diffusion drives the first c = min(N, K) modes only
+    diag, c = spec.diffusion_diagonal, min(spec.n_modes, spec.k_modes)
+    stoch_buf = np.zeros((n_paths, spec.n_modes)) if (collect_stoch and diag is not None) else None
 
-    for m in range(grid.steps):
-        t = nodes[m]
-        y = None if spec.drift is None else np.asarray(spec.drift(t, x))
-        z = None
-        if diag_cols is not None:
-            z = diag_cols
-        elif spec.diffusion is not None:
-            z = np.asarray(spec.diffusion(t, x if spec.state_dependent else None))
-
+    for m, x, y, z in march(spec, grid, kern, dW, first_path):
+        if m == grid.steps:
+            break
         need_xbar = (hitting or m == start_index or y is not None
                      or (collect_stoch and m >= start_index)
                      or (z is not None and not phi.constant_d2))
@@ -224,15 +185,15 @@ def _chunk_stats(phi, spec, grid, kern, dW, first_path, rule, collect_stoch,
             if y is not None:
                 integrand = integrand + np.asarray(phi.d1(xbar, kern.to_T[m] * y))
             if z is not None:
-                g_cols = _propagate_cols(z, kern.noise_T[m])
+                g_cols = kern.noise_T[m][:, None] * z     # (N, K) or (P, N, K)
                 trace = 0.5 * np.asarray(phi.d2_trace(xbar if need_xbar else x, g_cols))
                 integrand = integrand + trace.reshape((-1, m_dim))
                 if collect_stoch:
                     if diag is not None:
-                        stoch_buf[:, :k] = dW[m] * (kern.noise_T[m][:k] * diag)
+                        stoch_buf[:, :c] = dW[m][:, :c] * (kern.noise_T[m][:c] * diag[:c])
                         incr = stoch_buf
                     else:
-                        incr = _apply_cols(g_cols, dW[m])
+                        incr = apply_columns(g_cols, dW[m])
                     s_add = np.asarray(phi.d1(xbar, incr))
                     stoch += s_add if not hitting else s_add * active[:, None]
                 if collect_weak:
@@ -248,19 +209,6 @@ def _chunk_stats(phi, spec, grid, kern, dW, first_path, rule, collect_stoch,
                 if y is not None:
                     y_int += np.sqrt(np.sum((kern.to_T[m] * y) ** 2, axis=-1)) * dt
 
-        if y is None:
-            x *= kern.step[m]
-        else:
-            x = kern.step[m] * (x + y * dt)
-        if diag is not None:
-            x[:, :k] += dW[m] * (kern.rms[m][:k] * diag)
-        elif z is not None:
-            x += kern.rms[m] * _apply_cols(z, dW[m])
-        # blow-up scan amortized over a window of steps; values unaffected
-        if (m % 32 == 31 or m == grid.steps - 1) and not np.all(np.isfinite(x)):
-            bad = int(np.nonzero(~np.all(np.isfinite(x), axis=-1))[0][0])
-            raise BlowUpError(m + 1, first_path + bad)
-
     terminal_phi = np.asarray(phi.value(x))
     if hitting:
         phi_stop[active] = terminal_phi[active]
@@ -271,7 +219,7 @@ def _chunk_stats(phi, spec, grid, kern, dW, first_path, rule, collect_stoch,
     gap = phi_stop - rhs
     res = gap - stoch
 
-    sums = _zero_sums(m_dim, collect_weak)
+    sums = {}
     for key, arr in (("phi_stop", phi_stop), ("phi0", phi0), ("kol", kol),
                      ("stoch", stoch), ("rhs", rhs), ("gap", gap), ("res", res)):
         sums["s_" + key] = arr.sum(axis=0)
@@ -378,8 +326,7 @@ def self_convergence_orders(phi: TestFunction, spec: MildItoProcessSpec,
     fine_grid = TimeGrid(start, terminal, finest)
     block = np.empty((n_paths, finest, spec.k_modes))
     for i in range(n_paths):
-        block[i] = path_rng(seed, i).standard_normal((finest, spec.k_modes))
-    block *= math.sqrt(fine_grid.dt)
+        block[i] = wiener_block(fine_grid, spec.k_modes, seed, i)
     rms = []
     for steps in counts:
         grid = TimeGrid(start, terminal, steps)
@@ -485,26 +432,26 @@ def standard_ito_residual(phi: TimeTestFunction, drift, diffusion, grid: TimeGri
     otherwise the single WienerPath drives one path.
     """
     dw = w.increments[None] if increments is None else increments
-    n_paths = dw.shape[0]
+    n_paths, _, k_modes = dw.shape
+    family = identity_family(grid.start, grid.terminal)
+    x0 = np.zeros(n_modes) if initial is None else initial
+    # state_dependent: the diffusion receives the state, as drift does
+    spec = MildItoProcessSpec(family, SineBasisVector(x0), drift, diffusion,
+                              n_modes, k_modes, state_dependent=True)
     nodes = grid.nodes()
     dt = grid.dt
-    x = np.zeros((n_paths, n_modes))
-    if initial is not None:
-        x = x + np.asarray(initial, dtype=float)
-    res = -np.asarray(phi.value(nodes[0], x))
-    for m in range(grid.steps):
+    for m, x, y, z in march(spec, grid, step_kernels(family, grid, n_modes),
+                            dw.transpose(1, 0, 2), 0):
         t = nodes[m]
+        if m == 0:
+            res = -np.asarray(phi.value(t, x))
+        if m == grid.steps:
+            break
         res = res - np.asarray(phi.time_derivative(t, x)) * dt
-        y = None if drift is None else np.asarray(drift(t, x))
         if y is not None:
             res = res - np.asarray(phi.d1(t, x, y)) * dt
-        if diffusion is not None:
-            z = np.asarray(diffusion(t, x))
+        if z is not None:
             res = res - 0.5 * np.asarray(phi.d2_trace(t, x, z)).reshape((-1, phi.output_dim)) * dt
-            noise = _apply_cols(z, dw[:, m, :])
-            res = res - np.asarray(phi.d1(t, x, noise))
-            x = (x if y is None else x + y * dt) + noise
-        else:
-            x = x if y is None else x + y * dt
+            res = res - np.asarray(phi.d1(t, x, apply_columns(z, dw[:, m, :])))
     res = res + np.asarray(phi.value(nodes[-1], x))
     return res[0] if increments is None and n_paths == 1 else res

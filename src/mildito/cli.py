@@ -7,7 +7,8 @@ the output directory.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 invalid
 configuration (the message names the violated hypothesis), 3 a simulated
-path blew up (the message names the path index).
+path blew up (the message names the path index), 4 an internal fault
+(the traceback is printed).
 
 report.csv is byte-stable for a fixed (config, seed) regardless of
 --workers; wall-clock timings therefore live in summary.json only,
@@ -21,6 +22,7 @@ import io
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .gamma import HypothesisError
 from .nemytskii import FIELD_NAMES, get_field
 from .process import BlowUpError
 from .suites import run_suite
@@ -83,16 +86,20 @@ def _coerce(name, value):
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        for key, value in data.items():
-            if key not in ExperimentConfig.__dataclass_fields__:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, value))
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, _coerce(key, value))
+    try:
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            for key, value in data.items():
+                if key not in ExperimentConfig.__dataclass_fields__:
+                    raise ConfigError(f"unknown config key {key!r}")
+                setattr(cfg, key, _coerce(key, value))
+        for key, value in overrides.items():
+            if value is not None:
+                setattr(cfg, key, _coerce(key, value))
+    except (OSError, ValueError) as exc:
+        # unreadable files and malformed values are configuration errors
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -102,6 +109,12 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {SUITE_NAMES}")
     if cfg.N < 1 or cfg.K < 1 or cfg.J < 1 or cfg.M_t < 1:
         raise ConfigError("N, K, J, M_t must be positive")
+    if cfg.suite in ("dynkin", "weak", "all") and cfg.N < 2:
+        raise ConfigError(
+            f"suite {cfg.suite!r} requires N >= 2: its shipped coordinate "
+            f"functional reads modes 1 and 2, got N={cfg.N}")
+    if not (math.isfinite(cfg.T) and math.isfinite(cfg.t0)):
+        raise ConfigError(f"T and t0 must be finite, got T={cfg.T}, t0={cfg.t0}")
     if not cfg.T > cfg.t0:
         raise ConfigError(f"requires T > t0, got T={cfg.T}, t0={cfg.t0}")
     if cfg.paths < 2:
@@ -115,6 +128,8 @@ def validate(cfg: ExperimentConfig) -> None:
             f"unknown test function {cfg.phi!r}; registry has {TEST_FUNCTION_NAMES}")
     if cfg.stopping not in ("terminal", "hitting"):
         raise ConfigError(f"unknown stopping rule {cfg.stopping!r}")
+    if math.isnan(cfg.level):
+        raise ConfigError("hitting level must be a number or inf, got nan")
 
     gamma_like = cfg.suite in ("gamma", "all")
     nemytskii_like = cfg.suite in ("nemytskii", "all")
@@ -241,12 +256,16 @@ def main(argv=None) -> int:
         cfg = load_config(config_path, args)
         cfg.suite = suite
         return run(cfg)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, HypothesisError) as exc:
         print(f"mildito: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except BlowUpError as exc:
         print(f"mildito: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        print("mildito: internal error", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

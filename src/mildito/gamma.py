@@ -57,10 +57,6 @@ __all__ = [
     "MC_CHUNK",
 ]
 
-# Lebesgue measure of the domain (0,1); kept explicit so the bound
-# formulas stay generic in the measure of the spatial domain.
-DOMAIN_MEASURE = 1.0
-
 # Safety factor applied to sampled Sobolev-constant estimates (a finite
 # maximization can only under-estimate the sup).
 SOBOLEV_SAFETY = 2.0

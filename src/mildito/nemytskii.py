@@ -194,14 +194,16 @@ def holder_bound_iii(op: NemytskiiOperator, m: int, r: float) -> float:
     return op.field.sup_norms[m] * DOMAIN_MEASURE ** (1.0 / op.p - m / r)
 
 
-def _quotient_lhs(op, m, v, w, directions):
-    """||(F^(m)(v) - F^(m)(w))(u_1..u_m)||_p / prod ||u_i||_s for one sample."""
-    fv = op.field.derivatives[m](v.values)
-    fw = op.field.derivatives[m](w.values)
-    prod = np.ones_like(fv)
-    for u in directions:
-        prod = prod * u.values
-    return GridFunction((fv - fw) * prod)
+def _sup_quotient(op, m, v, w, samples, s):
+    """Sampled sup of ||(F^(m)(v) - F^(m)(w))(u_1..u_m)||_p / prod ||u_i||_s."""
+    diff = op.field.derivatives[m](v.values) - op.field.derivatives[m](w.values)
+    lhs = 0.0
+    for directions in samples:
+        num = lp_norm(GridFunction(diff * math.prod(u.values for u in directions)), op.p)
+        den = math.prod(lp_norm(u, s) for u in directions)
+        if den > 0:
+            lhs = max(lhs, num / den)
+    return lhs
 
 
 def lipschitz_bound_iv(op: NemytskiiOperator, m: int, r: float, s: float,
@@ -214,12 +216,7 @@ def lipschitz_bound_iv(op: NemytskiiOperator, m: int, r: float, s: float,
         raise ValueError(
             f"requires 1/r + m/s <= 1/p: 1/{r} + {m}/{s} > 1/{op.p}"
         )
-    lhs = 0.0
-    for directions in samples:
-        num = lp_norm(_quotient_lhs(op, m, v, w, directions), op.p)
-        den = math.prod(lp_norm(u, s) for u in directions)
-        if den > 0:
-            lhs = max(lhs, num / den)
+    lhs = _sup_quotient(op, m, v, w, samples, s)
     rhs = (op.field.lipschitz[m]
            * DOMAIN_MEASURE ** (1.0 / op.p - 1.0 / r - m / s)
            * lp_norm(GridFunction(v.values - w.values), r))
@@ -232,12 +229,7 @@ def lipschitz_bound_v(op: NemytskiiOperator, m: int, r: float,
     """Item-(v) variant: directions measured in L^r, exponent 1/p - (m+1)/r."""
     if r < (m + 1) * op.p:
         raise ValueError(f"requires r >= (m+1) p = {(m + 1) * op.p}, got r={r}")
-    lhs = 0.0
-    for directions in samples:
-        num = lp_norm(_quotient_lhs(op, m, v, w, directions), op.p)
-        den = math.prod(lp_norm(u, r) for u in directions)
-        if den > 0:
-            lhs = max(lhs, num / den)
+    lhs = _sup_quotient(op, m, v, w, samples, r)
     rhs = (op.field.lipschitz[m]
            * DOMAIN_MEASURE ** (1.0 / op.p - (m + 1.0) / r)
            * lp_norm(GridFunction(v.values - w.values), r))

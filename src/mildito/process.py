@@ -13,9 +13,11 @@ identity family R_m = Id and this is the plain left-point Euler update).
 Drift and diffusion are evaluated at the left endpoint, which realizes
 their predictability.
 
+``march`` is the one implementation of this update.  The single-path
+simulator, the Monte Carlo ensemble engine and the standard Ito residual
+all consume its per-step (node, state, drift, diffusion) tuples.
 Drift/diffusion callables follow a batched convention: the state
-argument is a (paths, modes) matrix.  ``lift_drift``/``lift_diffusion``
-adapt maps written against single SineBasisVector states.
+argument is a (paths, modes) matrix.
 """
 
 from dataclasses import dataclass
@@ -43,13 +45,13 @@ __all__ = [
     "mild_sum_states",
     "regularize",
     "integrability_report",
-    "lift_drift",
-    "lift_diffusion",
     "ou_spec",
     "nemytskii_drift_spec",
     "state_diffusion_spec",
     "StepKernels",
     "step_kernels",
+    "apply_columns",
+    "march",
 ]
 
 
@@ -137,9 +139,9 @@ class MildItoProcessSpec:
     the engine passes X = None.
 
     ``diffusion_diagonal`` declares that the diffusion columns are the
-    scaled first K coordinate vectors (entries on the diagonal); the
-    ensemble drivers then skip the per-step column matvec.  It must
-    describe the same operator as ``diffusion``.
+    scaled first K coordinate vectors (entries on the diagonal); ``march``
+    then skips the per-step column product.  It must describe the same
+    operator as ``diffusion``.
     """
 
     family: EvolutionFamily
@@ -200,11 +202,54 @@ def step_kernels(family: EvolutionFamily, grid: TimeGrid, n_modes: int) -> StepK
     return StepKernels(step, rms, to_T, noise_T)
 
 
-def _diffusion_increment(z, dw):
+def apply_columns(z, dw):
     """Apply columns to increments: (N,K)x(P,K)->(P,N) or (P,N,K)x(P,K)->(P,N)."""
     if z.ndim == 2:
         return dw @ z.T
     return np.einsum("pnk,pk->pn", z, dw)
+
+
+def _coefficients(spec: MildItoProcessSpec, t: float, x: np.ndarray):
+    """Drift and diffusion at the left endpoint (t, x); None where zero."""
+    y = None if spec.drift is None else np.asarray(spec.drift(t, x))
+    z = None if spec.diffusion is None else np.asarray(
+        spec.diffusion(t, x if spec.state_dependent else None))
+    return y, z
+
+
+def march(spec: MildItoProcessSpec, grid: TimeGrid, kern: StepKernels,
+          dW: np.ndarray, first_path: int):
+    """Advance paths driven by step-major increments dW[m] of shape (P, K).
+
+    Yields (m, x, y, z) at each node m < steps before stepping from it:
+    the (P, N) state, updated in place once resumed, and the coefficients
+    read there; the last yield is (steps, x, None, None).  A non-finite
+    state raises BlowUpError, scanned at every step for a single path and
+    once per 32-step window for a batch.
+    """
+    n_paths = dW.shape[1]
+    # a diagonal diffusion drives the first c modes without a column product
+    diag, c = spec.diffusion_diagonal, min(spec.n_modes, spec.k_modes)
+    window = 1 if n_paths == 1 else 32
+    nodes = grid.nodes()
+    dt = grid.dt
+    x = np.broadcast_to(spec.initial.coeffs, (n_paths, spec.n_modes)).copy()
+    for m in range(grid.steps):
+        y, z = _coefficients(spec, nodes[m], x)
+        yield m, x, y, z
+        if y is None:
+            x *= kern.step[m]
+        else:
+            x = kern.step[m] * (x + y * dt)
+        if diag is not None:
+            x[:, :c] += dW[m][:, :c] * (kern.rms[m][:c] * diag[:c])
+        elif z is not None:
+            x += kern.rms[m] * apply_columns(z, dW[m])
+        # the scan only decides where an error is reported; values are unaffected
+        if (m % window == window - 1 or m == grid.steps - 1) and not np.all(np.isfinite(x)):
+            bad = int(np.nonzero(~np.all(np.isfinite(x), axis=-1))[0][0])
+            raise BlowUpError(m + 1, first_path + bad)
+    yield grid.steps, x, None, None
 
 
 def simulate(spec: MildItoProcessSpec, grid: TimeGrid, w: WienerPath) -> SamplePath:
@@ -215,26 +260,9 @@ def simulate(spec: MildItoProcessSpec, grid: TimeGrid, w: WienerPath) -> SampleP
             f"{(grid.steps, spec.k_modes)}"
         )
     kern = step_kernels(spec.family, grid, spec.n_modes)
-    nodes = grid.nodes()
-    dt = grid.dt
     states = np.empty((grid.steps + 1, spec.n_modes))
-    states[0] = spec.initial.coeffs
-    x = spec.initial.coeffs[None, :].copy()
-    for m in range(grid.steps):
-        t = nodes[m]
-        # coefficients are read at the left endpoint (predictability)
-        z = None
-        if spec.diffusion is not None:
-            z = np.asarray(spec.diffusion(t, x if spec.state_dependent else None))
-        incr = np.zeros_like(x)
-        if spec.drift is not None:
-            incr = incr + spec.drift(t, x) * dt
-        x = kern.step[m] * (x + incr)
-        if z is not None:
-            x = x + kern.rms[m] * _diffusion_increment(z, w.increments[m:m + 1])
-        if not np.all(np.isfinite(x)):
-            raise BlowUpError(m + 1, w.path_index)
-        states[m + 1] = x[0]
+    for m, x, _, _ in march(spec, grid, kern, w.increments[:, None, :], w.path_index):
+        states[m] = x[0]
     return SamplePath(grid, states)
 
 
@@ -254,15 +282,11 @@ def mild_sum_states(spec: MildItoProcessSpec, grid: TimeGrid, w: WienerPath) -> 
     drift_terms = []
     noise_terms = []
     for j in range(grid.steps):
-        x = path.states[j][None, :]
-        if spec.drift is not None:
-            drift_terms.append(np.asarray(spec.drift(nodes[j], x))[0] * dt)
-        else:
-            drift_terms.append(np.zeros(n))
-        if spec.diffusion is not None:
-            z = np.asarray(spec.diffusion(nodes[j], x if spec.state_dependent else None))
+        y, z = _coefficients(spec, nodes[j], path.states[j][None, :])
+        drift_terms.append(np.zeros(n) if y is None else y[0] * dt)
+        if z is not None:
             rms = spec.family.noise_multipliers(nodes[j], nodes[j + 1], n)
-            noise_terms.append(rms * _diffusion_increment(z, w.increments[j:j + 1])[0])
+            noise_terms.append(rms * apply_columns(z, w.increments[j:j + 1])[0])
         else:
             noise_terms.append(np.zeros(n))
     for m in range(1, grid.steps + 1):
@@ -309,12 +333,10 @@ def integrability_report(spec: MildItoProcessSpec, grid: TimeGrid, path: SampleP
     drift_total = 0.0
     diff_total = 0.0
     for m in range(grid.steps):
-        x = path.states[m][None, :]
-        if spec.drift is not None:
-            y = np.asarray(spec.drift(nodes[m], x))[0]
-            drift_total += np.sqrt(np.sum(weights * (kern.to_T[m] * y) ** 2)) * dt
-        if spec.diffusion is not None:
-            z = np.asarray(spec.diffusion(nodes[m], x if spec.state_dependent else None))
+        y, z = _coefficients(spec, nodes[m], path.states[m][None, :])
+        if y is not None:
+            drift_total += np.sqrt(np.sum(weights * (kern.to_T[m] * y[0]) ** 2)) * dt
+        if z is not None:
             cols = z if z.ndim == 2 else z[0]
             propagated = kern.noise_T[m][:, None] * cols
             diff_total += float(np.sum(weights[:, None] * propagated ** 2)) * dt
@@ -322,26 +344,8 @@ def integrability_report(spec: MildItoProcessSpec, grid: TimeGrid, path: SampleP
 
 
 # ---------------------------------------------------------------------------
-# adapters and shipped process constructors
+# shipped process constructors
 # ---------------------------------------------------------------------------
-
-
-def lift_drift(fn: Callable[[float, SineBasisVector], SineBasisVector]) -> Callable:
-    """Lift a single-state drift map into the batched convention."""
-
-    def batched(t, x):
-        return np.stack([fn(t, SineBasisVector(row)).coeffs for row in x])
-
-    return batched
-
-
-def lift_diffusion(fn: Callable[[float, SineBasisVector], "object"]) -> Callable:
-    """Lift a single-state diffusion map (returning a gamma operator)."""
-
-    def batched(t, x):
-        return np.stack([np.asarray(fn(t, SineBasisVector(row)).columns) for row in x])
-
-    return batched
 
 
 def _identity_columns(n_modes: int, k_modes: int, scale: float = 1.0) -> np.ndarray:
@@ -350,18 +354,23 @@ def _identity_columns(n_modes: int, k_modes: int, scale: float = 1.0) -> np.ndar
     return cols
 
 
+def _additive_spec(family, drift, n_modes, k_modes, initial, scale, label):
+    """Additive truncated-identity noise scaled by ``scale``, declared diagonal."""
+    if initial is None:
+        initial = SineBasisVector(np.zeros(n_modes))
+    cols = _identity_columns(n_modes, k_modes, scale)
+    return MildItoProcessSpec(
+        family, initial, drift, lambda t, x: cols, n_modes, k_modes,
+        state_dependent=False, label=label,
+        diffusion_diagonal=np.full(k_modes, scale),
+    )
+
+
 def ou_spec(family: EvolutionFamily, n_modes: int = 32, k_modes: int = 32,
             initial: SineBasisVector | None = None,
             diffusion_scale: float = 1.0) -> MildItoProcessSpec:
     """Ornstein-Uhlenbeck type process: zero drift, truncated-identity noise."""
-    if initial is None:
-        initial = SineBasisVector(np.zeros(n_modes))
-    cols = _identity_columns(n_modes, k_modes, diffusion_scale)
-    return MildItoProcessSpec(
-        family, initial, None, lambda t, x: cols, n_modes, k_modes,
-        state_dependent=False, label="ou",
-        diffusion_diagonal=np.full(k_modes, diffusion_scale),
-    )
+    return _additive_spec(family, None, n_modes, k_modes, initial, diffusion_scale, "ou")
 
 
 def nemytskii_drift_spec(field_eval: Callable, family: EvolutionFamily,
@@ -371,19 +380,12 @@ def nemytskii_drift_spec(field_eval: Callable, family: EvolutionFamily,
                          diffusion_scale: float = 1.0,
                          label: str = "nemytskii_drift") -> MildItoProcessSpec:
     """Semilinear process: drift is the composition field applied pointwise."""
-    if initial is None:
-        initial = SineBasisVector(np.zeros(n_modes))
     mat = sine_matrix(resolution, n_modes)
 
     def drift(t, x):
         return field_eval(x @ mat.T) @ mat / resolution
 
-    cols = _identity_columns(n_modes, k_modes, diffusion_scale)
-    return MildItoProcessSpec(
-        family, initial, drift, lambda t, x: cols, n_modes, k_modes,
-        state_dependent=False, label=label,
-        diffusion_diagonal=np.full(k_modes, diffusion_scale),
-    )
+    return _additive_spec(family, drift, n_modes, k_modes, initial, diffusion_scale, label)
 
 
 def state_diffusion_spec(field_eval: Callable, family: EvolutionFamily,

@@ -36,7 +36,6 @@ __all__ = [
     "hr_norm",
     "apply_fractional",
     "apply_semigroup",
-    "ef_apply",
     "heat_family",
     "identity_family",
     "DEFAULT_RESOLUTION",
@@ -240,11 +239,6 @@ class EvolutionFamily:
                 f"[{self.start}, {self.terminal}]"
             )
         return SineBasisVector(self.multipliers(s, t, v.truncation) * v.coeffs)
-
-
-def ef_apply(family: EvolutionFamily, s: float, t: float, v: SineBasisVector) -> SineBasisVector:
-    """Operation form of EvolutionFamily.apply."""
-    return family.apply(s, t, v)
 
 
 def heat_family(start: float = 0.0, terminal: float = 1.0) -> EvolutionFamily:

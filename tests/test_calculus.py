@@ -385,3 +385,25 @@ class TestDeterminism:
         lhs = stats.sums["s_gap"]
         rhs = stats.sums["s_phi_stop"] - stats.sums["s_phi0"] - stats.sums["s_kol"]
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+class TestEngineAgreement:
+    @pytest.mark.parametrize("n, k", [(2, 8), (8, 8), (8, 2)])
+    @pytest.mark.parametrize("make", ["ou", "nemytskii_drift", "state_diffusion"])
+    def test_ensemble_matches_simulate(self, make, n, k):
+        fam = heat()
+        x0 = SineBasisVector(0.8 / np.arange(1, n + 1))
+        if make == "ou":
+            spec = ou_spec(fam, n, k, initial=x0, diffusion_scale=1.5)
+        elif make == "nemytskii_drift":
+            spec = process.nemytskii_drift_spec(np.tanh, fam, n, k, 64, initial=x0)
+        else:
+            spec = process.state_diffusion_spec(np.tanh, fam, n, k, 64, initial=x0)
+        grid = TimeGrid(0.0, 0.1, 40)
+        paths = [wiener_sample(grid, k, 12, i) for i in range(3)]
+        # the coordinate functional over all modes makes phi_stop the terminal state
+        phi = coordinate_functional(tuple(range(1, n + 1)))
+        stats = run_ensemble(phi, spec, grid,
+                             increments=np.stack([w.increments for w in paths]))
+        terminal = sum(process.simulate(spec, grid, w).states[-1] for w in paths)
+        np.testing.assert_allclose(stats.sums["s_phi_stop"], terminal, rtol=0, atol=1e-12)

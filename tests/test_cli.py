@@ -72,6 +72,25 @@ class TestValidation:
         with pytest.raises(cli.ConfigError, match="unknown field"):
             validate(cfg)
 
+    @pytest.mark.parametrize("suite", ["dynkin", "weak", "all"])
+    def test_coordinate_functional_needs_two_modes(self, suite):
+        cfg = ExperimentConfig(suite=suite, N=1, K=1)
+        with pytest.raises(cli.ConfigError, match="N >= 2"):
+            validate(cfg)
+
+    @pytest.mark.parametrize("key, value", [("T", math.inf), ("t0", -math.inf),
+                                            ("T", math.nan)])
+    def test_times_must_be_finite(self, key, value):
+        cfg = ExperimentConfig(suite="simulate", **{key: value})
+        with pytest.raises(cli.ConfigError, match="must be finite"):
+            validate(cfg)
+
+    def test_nan_level_rejected(self):
+        cfg = ExperimentConfig(suite="dynkin", stopping="hitting", level=math.nan)
+        with pytest.raises(cli.ConfigError, match="level"):
+            validate(cfg)
+        validate(ExperimentConfig(suite="dynkin", stopping="hitting", level=math.inf))
+
 
 class TestMain:
     def test_invalid_config_exits_2(self, capsys, tmp_path):
@@ -85,6 +104,28 @@ class TestMain:
         code = main(["dynkin", "--out", str(tmp_path)] + SMALL)
         assert code == 3
         assert "path 17" in capsys.readouterr().err
+
+    def test_one_mode_dynkin_exits_2(self, capsys, tmp_path):
+        code = main(["dynkin", "--N", "1", "--K", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "N >= 2" in capsys.readouterr().err
+
+    def test_internal_fault_exits_4(self, monkeypatch, capsys, tmp_path):
+        def fault(name, cfg):
+            raise ValueError("internal arithmetic fault")
+
+        monkeypatch.setattr(cli, "run_suite", fault)
+        code = main(["dynkin", "--out", str(tmp_path)] + SMALL)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "internal arithmetic fault" in err
+        assert "invalid configuration" not in err
+
+    def test_simulate_with_fewer_modes_than_noise(self, tmp_path):
+        # N = 2 < K: only two modes carry noise, for the engine and the oracle
+        code = main(["simulate", "--N", "2", "--M_t", "20", "--paths", "2000",
+                     "--out", str(tmp_path)])
+        assert code == 0
 
     def test_small_dynkin_run(self, tmp_path):
         code = main(["dynkin", "--out", str(tmp_path)] + SMALL)

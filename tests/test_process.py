@@ -6,8 +6,6 @@ from mildito.process import (
     MildItoProcessSpec,
     TimeGrid,
     integrability_report,
-    lift_diffusion,
-    lift_drift,
     mild_sum_states,
     nemytskii_drift_spec,
     ou_spec,
@@ -17,7 +15,6 @@ from mildito.process import (
     wiener_block,
     wiener_sample,
 )
-from mildito.gamma import FiniteRankGammaOperator, HrCodomain
 from mildito.spectral import (
     SineBasisVector,
     basis_vector,
@@ -212,25 +209,6 @@ class TestIntegrabilityReport:
 
 
 class TestAdapters:
-    def test_lift_drift_matches_batched(self):
-        def single(t, v):
-            return SineBasisVector(np.tanh(v.coeffs))
-
-        lifted = lift_drift(single)
-        x = np.random.default_rng(0).standard_normal((5, 6))
-        np.testing.assert_allclose(lifted(0.0, x), np.tanh(x))
-
-    def test_lift_diffusion_matches_batched(self):
-        def single(t, v):
-            return FiniteRankGammaOperator(np.outer(v.coeffs, np.ones(3)),
-                                           HrCodomain(0.0))
-
-        lifted = lift_diffusion(single)
-        x = np.random.default_rng(1).standard_normal((4, 6))
-        out = lifted(0.0, x)
-        assert out.shape == (4, 6, 3)
-        np.testing.assert_allclose(out[2], np.outer(x[2], np.ones(3)))
-
     def test_lifted_spec_simulates_like_native(self):
         fam = heat_family(0.0, 0.2)
         cols = np.eye(5)

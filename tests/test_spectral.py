@@ -9,7 +9,6 @@ from mildito.spectral import (
     apply_fractional,
     apply_semigroup,
     basis_vector,
-    ef_apply,
     eigenfunction_value,
     eigenvalue,
     heat_family,
@@ -189,19 +188,19 @@ class TestEvolutionFamily:
     def test_identity_kind(self):
         fam = identity_family(0.0, 1.0)
         v = random_vector(7, 7)
-        np.testing.assert_array_equal(ef_apply(fam, 0.1, 0.9, v).coeffs, v.coeffs)
+        np.testing.assert_array_equal(fam.apply(0.1, 0.9, v).coeffs, v.coeffs)
 
     def test_heat_first_mode(self):
         fam = heat_family(0.0, 1.0)
-        out = ef_apply(fam, 0.0, 1.0, basis_vector(1, 2))
+        out = fam.apply(0.0, 1.0, basis_vector(1, 2))
         assert out.coeffs[0] == pytest.approx(np.exp(-np.pi ** 2))
 
     def test_order_precondition(self):
         fam = heat_family(0.0, 1.0)
         with pytest.raises(ValueError):
-            ef_apply(fam, 0.5, 0.5, basis_vector(1, 2))
+            fam.apply(0.5, 0.5, basis_vector(1, 2))
         with pytest.raises(ValueError):
-            ef_apply(fam, 0.7, 0.2, basis_vector(1, 2))
+            fam.apply(0.7, 0.2, basis_vector(1, 2))
 
     def test_composition_law(self):
         fam = heat_family(0.0, 1.0)
@@ -211,8 +210,8 @@ class TestEvolutionFamily:
             if t1 == t2 or t2 == t3:
                 continue
             v = SineBasisVector(r.standard_normal(16))
-            two = ef_apply(fam, t2, t3, ef_apply(fam, t1, t2, v))
-            one = ef_apply(fam, t1, t3, v)
+            two = fam.apply(t2, t3, fam.apply(t1, t2, v))
+            one = fam.apply(t1, t3, v)
             err = np.linalg.norm(two.coeffs - one.coeffs)
             assert err <= 1e-12 * np.linalg.norm(v.coeffs)
 
