@@ -17,7 +17,10 @@ path, so it telescopes exactly for linear test functions.
 
 All drivers run in fixed-size chunks of independently keyed paths
 reduced in chunk order; results depend on (seed, paths) only, never on
-workers.
+workers.  Within a chunk each path's keyed stream is drawn window by
+window (``process.keyed_increments``), so a chunk holds paths x 32 x K
+doubles of increments, not its whole steps x paths x K block; the
+normals and their order are those of a single draw per path.
 """
 
 import math
@@ -33,8 +36,8 @@ from .process import (
     TimeGrid,
     WienerPath,
     apply_columns,
+    keyed_increments,
     march,
-    path_rng,
     step_kernels,
     wiener_block,
 )
@@ -124,27 +127,9 @@ class EnsembleStats:
         return math.sqrt(max(float(self.sums["s_res2"]) / self.n_paths, 0.0))
 
 
-def _chunk_increments(grid: TimeGrid, k_modes: int, seed: int, start: int,
-                      count: int) -> np.ndarray:
-    """Per-path increment blocks, laid out (steps, paths, K).
-
-    The step-major layout keeps the per-step slices the hot loop reads
-    contiguous; each path's block is still drawn in one keyed call and
-    scattered into its column.
-    """
-    out = np.empty((grid.steps, count, k_modes))
-    scratch = np.empty((grid.steps, k_modes))
-    for i in range(count):
-        path_rng(seed, start + i).standard_normal(out=scratch)
-        out[:, i, :] = scratch
-    out *= math.sqrt(grid.dt)
-    return out
-
-
-def _chunk_stats(phi, spec, grid, kern, dW, first_path, rule, collect_stoch,
-                 collect_weak, growth, start_index):
-    # dW is step-major: dW[m] holds the increments of step m, shape (P, K)
-    n_paths = dW.shape[1]
+def _chunk_stats(phi, spec, grid, kern, dW, n_paths, first_path, rule,
+                 collect_stoch, collect_weak, growth, start_index):
+    # dW yields the increments of each step in turn, shape (P, K)
     m_dim = phi.output_dim
     dt = grid.dt
 
@@ -165,7 +150,7 @@ def _chunk_stats(phi, spec, grid, kern, dW, first_path, rule, collect_stoch,
     diag, c = spec.diffusion_diagonal, min(spec.n_modes, spec.k_modes)
     stoch_buf = np.zeros((n_paths, spec.n_modes)) if (collect_stoch and diag is not None) else None
 
-    for m, x, y, z in march(spec, grid, kern, dW, first_path):
+    for m, x, y, z, dw in march(spec, grid, kern, dW, n_paths, first_path):
         if m == grid.steps:
             break
         need_xbar = (hitting or m == start_index or y is not None
@@ -190,10 +175,10 @@ def _chunk_stats(phi, spec, grid, kern, dW, first_path, rule, collect_stoch,
                 integrand = integrand + trace.reshape((-1, m_dim))
                 if collect_stoch:
                     if diag is not None:
-                        stoch_buf[:, :c] = dW[m][:, :c] * (kern.noise_T[m][:c] * diag[:c])
+                        stoch_buf[:, :c] = dw[:, :c] * (kern.noise_T[m][:c] * diag[:c])
                         incr = stoch_buf
                     else:
-                        incr = apply_columns(g_cols, dW[m])
+                        incr = apply_columns(g_cols, dw)
                     s_add = np.asarray(phi.d1(xbar, incr))
                     stoch += s_add if not hitting else s_add * active[:, None]
                 if collect_weak:
@@ -253,6 +238,9 @@ def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
     total = n_paths if increments is None else increments.shape[0]
     if total < 1:
         raise ValueError("need at least one path")
+    if increments is not None and increments.shape[1:] != (grid.steps, spec.k_modes):
+        raise ValueError(f"increments shaped {increments.shape}, expected "
+                         f"(paths, {grid.steps}, {spec.k_modes})")
     kern = step_kernels(spec.family, grid, spec.n_modes)
     growth = phi.growth_exponent
     chunks = [(start, min(CHUNK_SIZE, total - start))
@@ -261,12 +249,11 @@ def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
     def work(chunk):
         start, count = chunk
         if increments is None:
-            dw = _chunk_increments(grid, spec.k_modes, seed, start, count)
+            dw = keyed_increments(grid, spec.k_modes, seed, start, count)
         else:
-            # explicit blocks arrive path-major; the engine is step-major
-            dw = np.ascontiguousarray(
-                increments[start:start + count].transpose(1, 0, 2))
-        return _chunk_stats(phi, spec, grid, kern, dw, start, rule,
+            # explicit blocks arrive path-major; a step-major view iterates by step
+            dw = increments[start:start + count].transpose(1, 0, 2)
+        return _chunk_stats(phi, spec, grid, kern, dw, count, start, rule,
                             collect_stoch, collect_weak, growth, start_index)
 
     if workers > 1 and len(chunks) > 1:
@@ -330,8 +317,10 @@ def self_convergence_orders(phi: TestFunction, spec: MildItoProcessSpec,
     rms = []
     for steps in counts:
         grid = TimeGrid(start, terminal, steps)
-        dw = block if steps == finest else coarsen_increments(block, finest // steps)
-        rms.append(residual_rms(phi, spec, grid, increments=dw, workers=workers))
+        # built inside the call, so each coarsened block is freed before the next
+        rms.append(residual_rms(phi, spec, grid, increments=(
+            block if steps == finest else coarsen_increments(block, finest // steps)),
+            workers=workers))
     slope = np.polyfit(np.log(np.asarray(counts, float)), np.log(rms), 1)[0]
     return rms, float(-slope)
 
@@ -431,8 +420,8 @@ def standard_ito_residual(phi: TimeTestFunction, drift, diffusion, grid: TimeGri
     Pass ``increments`` of shape (paths, steps, K) to batch paths;
     otherwise the single WienerPath drives one path.
     """
-    dw = w.increments[None] if increments is None else increments
-    n_paths, _, k_modes = dw.shape
+    block = w.increments[None] if increments is None else increments
+    n_paths, _, k_modes = block.shape
     family = identity_family(grid.start, grid.terminal)
     x0 = np.zeros(n_modes) if initial is None else initial
     # state_dependent: the diffusion receives the state, as drift does
@@ -440,8 +429,8 @@ def standard_ito_residual(phi: TimeTestFunction, drift, diffusion, grid: TimeGri
                               n_modes, k_modes, state_dependent=True)
     nodes = grid.nodes()
     dt = grid.dt
-    for m, x, y, z in march(spec, grid, step_kernels(family, grid, n_modes),
-                            dw.transpose(1, 0, 2), 0):
+    for m, x, y, z, dw in march(spec, grid, step_kernels(family, grid, n_modes),
+                                block.transpose(1, 0, 2), n_paths, 0):
         t = nodes[m]
         if m == 0:
             res = -np.asarray(phi.value(t, x))
@@ -452,6 +441,6 @@ def standard_ito_residual(phi: TimeTestFunction, drift, diffusion, grid: TimeGri
             res = res - np.asarray(phi.d1(t, x, y)) * dt
         if z is not None:
             res = res - 0.5 * np.asarray(phi.d2_trace(t, x, z)).reshape((-1, phi.output_dim)) * dt
-            res = res - np.asarray(phi.d1(t, x, apply_columns(z, dw[:, m, :])))
+            res = res - np.asarray(phi.d1(t, x, apply_columns(z, dw)))
     res = res + np.asarray(phi.value(nodes[-1], x))
     return res[0] if increments is None and n_paths == 1 else res

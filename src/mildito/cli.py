@@ -90,9 +90,15 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         if path is not None:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ConfigError("config file must hold a JSON object")
+            fields = ExperimentConfig.__dataclass_fields__
             for key, value in data.items():
-                if key not in ExperimentConfig.__dataclass_fields__:
+                if key not in fields:
                     raise ConfigError(f"unknown config key {key!r}")
+                # null stands for the default only where the default is None
+                if value is None and fields[key].default is not None:
+                    raise ConfigError(f"config key {key!r} must not be null")
                 setattr(cfg, key, _coerce(key, value))
         for key, value in overrides.items():
             if value is not None:

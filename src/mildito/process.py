@@ -15,11 +15,12 @@ their predictability.
 
 ``march`` is the one implementation of this update.  The single-path
 simulator, the Monte Carlo ensemble engine and the standard Ito residual
-all consume its per-step (node, state, drift, diffusion) tuples.
-Drift/diffusion callables follow a batched convention: the state
-argument is a (paths, modes) matrix.
+all consume its per-step (node, state, drift, diffusion, increment)
+tuples.  Drift/diffusion callables follow a batched convention: the
+state argument is a (paths, modes) matrix.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,6 +41,7 @@ __all__ = [
     "BlowUpError",
     "wiener_sample",
     "wiener_block",
+    "keyed_increments",
     "path_rng",
     "simulate",
     "mild_sum_states",
@@ -53,6 +55,10 @@ __all__ = [
     "apply_columns",
     "march",
 ]
+
+# Steps per window: ``keyed_increments`` refills its buffer and a batched
+# ``march`` scans for blow-up once per window.
+WINDOW = 32
 
 
 class BlowUpError(RuntimeError):
@@ -110,7 +116,8 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
 
     SFC64 under SeedSequence keying: deterministic in the key, streams
     are independent, and results cannot depend on worker scheduling
-    because every path always draws its whole block from its own stream.
+    because every path draws its increments from its own stream, in step
+    order.
     """
     ss = np.random.SeedSequence(entropy=seed & (2 ** 64 - 1),
                                 spawn_key=(path_index,))
@@ -123,6 +130,26 @@ def wiener_block(grid: TimeGrid, k_modes: int, seed: int, path_index: int) -> np
         raise ValueError("need at least one noise mode")
     g = path_rng(seed, path_index)
     return g.standard_normal((grid.steps, k_modes)) * np.sqrt(grid.dt)
+
+
+def keyed_increments(grid: TimeGrid, k_modes: int, seed: int, first_path: int,
+                     count: int):
+    """Each step's (count, K) increments of paths (seed, first_path + i), in step order.
+
+    Every path keeps its generator and draws WINDOW steps at a time into a
+    path-major (count, WINDOW, K) buffer.  Successive draws from one stream
+    give the normals of ``wiener_block`` in the same order, so each path's
+    increments keep their bits.  A yielded view is overwritten at the next
+    refill.
+    """
+    rngs = [path_rng(seed, first_path + i) for i in range(count)]
+    buf = np.empty((count, min(WINDOW, grid.steps), k_modes))
+    for lo in range(0, grid.steps, WINDOW):
+        window = buf[:, :min(WINDOW, grid.steps - lo)]
+        for g, rows in zip(rngs, window):
+            g.standard_normal(out=rows)
+        window *= math.sqrt(grid.dt)
+        yield from window.transpose(1, 0, 2)
 
 
 def wiener_sample(grid: TimeGrid, k_modes: int, seed: int, path_index: int = 0) -> WienerPath:
@@ -218,38 +245,41 @@ def _coefficients(spec: MildItoProcessSpec, t: float, x: np.ndarray):
 
 
 def march(spec: MildItoProcessSpec, grid: TimeGrid, kern: StepKernels,
-          dW: np.ndarray, first_path: int):
-    """Advance paths driven by step-major increments dW[m] of shape (P, K).
+          dW, n_paths: int, first_path: int):
+    """Advance n_paths paths driven by dW, which yields each step's (P, K)
+    increments in step order.
 
-    Yields (m, x, y, z) at each node m < steps before stepping from it:
-    the (P, N) state, updated in place once resumed, and the coefficients
-    read there; the last yield is (steps, x, None, None).  A non-finite
-    state raises BlowUpError, scanned at every step for a single path and
-    once per 32-step window for a batch.
+    Yields (m, x, y, z, dw) at each node m < steps before stepping from
+    it: the (P, N) state, updated in place once resumed, the coefficients
+    read there and the increments of step m; the last yield is
+    (steps, x, None, None, None).  A non-finite state raises BlowUpError,
+    scanned at every step for a single path and once per WINDOW steps for
+    a batch.
     """
-    n_paths = dW.shape[1]
     # a diagonal diffusion drives the first c modes without a column product
     diag, c = spec.diffusion_diagonal, min(spec.n_modes, spec.k_modes)
-    window = 1 if n_paths == 1 else 32
+    window = 1 if n_paths == 1 else WINDOW
     nodes = grid.nodes()
     dt = grid.dt
+    dW = iter(dW)
     x = np.broadcast_to(spec.initial.coeffs, (n_paths, spec.n_modes)).copy()
     for m in range(grid.steps):
+        dw = next(dW)
         y, z = _coefficients(spec, nodes[m], x)
-        yield m, x, y, z
+        yield m, x, y, z, dw
         if y is None:
             x *= kern.step[m]
         else:
             x = kern.step[m] * (x + y * dt)
         if diag is not None:
-            x[:, :c] += dW[m][:, :c] * (kern.rms[m][:c] * diag[:c])
+            x[:, :c] += dw[:, :c] * (kern.rms[m][:c] * diag[:c])
         elif z is not None:
-            x += kern.rms[m] * apply_columns(z, dW[m])
+            x += kern.rms[m] * apply_columns(z, dw)
         # the scan only decides where an error is reported; values are unaffected
         if (m % window == window - 1 or m == grid.steps - 1) and not np.all(np.isfinite(x)):
             bad = int(np.nonzero(~np.all(np.isfinite(x), axis=-1))[0][0])
             raise BlowUpError(m + 1, first_path + bad)
-    yield grid.steps, x, None, None
+    yield grid.steps, x, None, None, None
 
 
 def simulate(spec: MildItoProcessSpec, grid: TimeGrid, w: WienerPath) -> SamplePath:
@@ -261,7 +291,7 @@ def simulate(spec: MildItoProcessSpec, grid: TimeGrid, w: WienerPath) -> SampleP
         )
     kern = step_kernels(spec.family, grid, spec.n_modes)
     states = np.empty((grid.steps + 1, spec.n_modes))
-    for m, x, _, _ in march(spec, grid, kern, w.increments[:, None, :], w.path_index):
+    for m, x, *_ in march(spec, grid, kern, w.increments[:, None, :], 1, w.path_index):
         states[m] = x[0]
     return SamplePath(grid, states)
 

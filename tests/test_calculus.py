@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -407,3 +409,46 @@ class TestEngineAgreement:
                              increments=np.stack([w.increments for w in paths]))
         terminal = sum(process.simulate(spec, grid, w).states[-1] for w in paths)
         np.testing.assert_allclose(stats.sums["s_phi_stop"], terminal, rtol=0, atol=1e-12)
+
+
+class TestIncrementWindows:
+    """Keyed increments are drawn window by window, never as a whole block."""
+
+    @pytest.mark.parametrize("steps", [1, 31, 32, 33, 70])
+    @pytest.mark.parametrize("make", ["ou", "state_diffusion"])
+    def test_keyed_matches_explicit_block(self, make, steps):
+        fam = heat()
+        if make == "ou":
+            spec = ou_spec(fam, 6, 4)
+            phi = squared_norm()
+        else:
+            x0 = SineBasisVector(0.6 / np.arange(1.0, 6.0))
+            spec = process.state_diffusion_spec(np.tanh, fam, 5, 3, 16, initial=x0)
+            phi = smoothed_norm()
+        grid = TimeGrid(0.0, 0.1, steps)
+        # 2050 paths: one full chunk, then a chunk of two
+        keyed = run_ensemble(phi, spec, grid, n_paths=2050, seed=7, collect_stoch=True)
+        block = np.stack([process.wiener_block(grid, spec.k_modes, 7, i)
+                          for i in range(2050)])
+        explicit = run_ensemble(phi, spec, grid, increments=block, collect_stoch=True)
+        assert keyed.sums.keys() == explicit.sums.keys()
+        for key in keyed.sums:
+            assert np.array_equal(keyed.sums[key], explicit.sums[key]), key
+
+    def test_explicit_block_must_match_the_grid(self):
+        spec = ou_spec(heat(), 6, 4)
+        block = np.zeros((3, 9, 4))
+        with pytest.raises(ValueError, match="increments shaped"):
+            run_ensemble(squared_norm(), spec, TimeGrid(0.0, 0.1, 10), increments=block)
+
+    def test_chunk_never_holds_its_whole_block(self):
+        # one 2048-path chunk of 128 steps at K = 32 has a 64 MiB increment block
+        spec = ou_spec(heat(), 32, 32)
+        grid = TimeGrid(0.0, 0.1, 128)
+        tracemalloc.start()
+        try:
+            run_ensemble(squared_norm(), spec, grid, n_paths=2048, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20

@@ -121,6 +121,27 @@ class TestMain:
         assert "Traceback" in err and "internal arithmetic fault" in err
         assert "invalid configuration" not in err
 
+    def test_null_config_value_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"T": None}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "'T' must not be null" in capsys.readouterr().err
+
+    def test_non_object_config_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([{"T": 0.2}]))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+
+    def test_null_delta_keeps_its_default(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"delta": None}))
+        code = main(["nemytskii", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["config"]["delta"] is None
+
     def test_simulate_with_fewer_modes_than_noise(self, tmp_path):
         # N = 2 < K: only two modes carry noise, for the engine and the oracle
         code = main(["simulate", "--N", "2", "--M_t", "20", "--paths", "2000",

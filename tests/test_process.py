@@ -6,6 +6,7 @@ from mildito.process import (
     MildItoProcessSpec,
     TimeGrid,
     integrability_report,
+    keyed_increments,
     mild_sum_states,
     nemytskii_drift_spec,
     ou_spec,
@@ -61,6 +62,16 @@ class TestWiener:
         a = wiener_block(grid, 8, 123, 5)
         c = wiener_block(grid, 8, 123, 6)
         assert np.max(np.abs(a - c)) > 0.0
+
+    @pytest.mark.parametrize("steps", [5, 32, 70])
+    def test_windowed_draws_match_whole_blocks(self, steps):
+        # each path's stream is drawn one window at a time; its normals
+        # and their order are those of a single whole-block draw
+        grid = TimeGrid(0.0, 0.2, steps)
+        windowed = np.array([dw.copy() for dw in keyed_increments(grid, 3, 41, 10, 4)])
+        assert windowed.shape == (steps, 4, 3)
+        for i in range(4):
+            np.testing.assert_array_equal(windowed[:, i], wiener_block(grid, 3, 41, 10 + i))
 
     def test_shape_and_validation(self):
         grid = TimeGrid(0.0, 0.2, 7)
