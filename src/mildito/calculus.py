@@ -15,16 +15,19 @@ identities are exact for quadratic test functions).  The discrete
 stochastic integral uses the same propagated columns that drove the
 path, so it telescopes exactly for linear test functions.
 
-All drivers run in fixed-size chunks of independently keyed paths
-reduced in chunk order; results depend on (seed, paths) only, never on
-workers.  Within a chunk each path's keyed stream is drawn window by
-window (``process.keyed_increments``), so a chunk holds paths x 32 x K
-doubles of increments, not its whole steps x paths x K block; the
-normals and their order are those of a single draw per path.
+All drivers run in fixed-size chunks of independently keyed paths,
+marched one after another on the calling thread and reduced in chunk
+order; results depend on (seed, paths) only, never on workers.  Within
+a chunk each path's keyed stream is drawn window by window
+(``process.keyed_increments``), so a chunk holds paths x 32 x K doubles
+of increments, not its whole steps x paths x K block; the normals and
+their order are those of a single draw per path.  ``workers`` (default:
+the usable cores) only splits each window's draw over that many
+threads; drift, diffusion, test-function and BLAS calls all stay on the
+calling thread.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +39,10 @@ from .process import (
     TimeGrid,
     WienerPath,
     apply_columns,
+    fill_pool,
     keyed_increments,
     march,
     step_kernels,
-    wiener_block,
 )
 from .spectral import EvolutionFamily, SineBasisVector, identity_family
 from .testfunctions import TestFunction, TimeTestFunction
@@ -225,13 +228,15 @@ def _chunk_stats(phi, spec, grid, kern, dW, n_paths, first_path, rule,
 def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
                  n_paths: int | None = None, seed: int = 0,
                  increments: np.ndarray | None = None,
-                 rule: StoppingRule | None = None, workers: int = 1,
+                 rule: StoppingRule | None = None, workers: int | None = None,
                  collect_stoch: bool = False, collect_weak: bool = False,
                  start_index: int = 0) -> EnsembleStats:
     """Chunked Monte Carlo sweep accumulating the mild-formula functionals.
 
     Either ``n_paths`` (paths keyed (seed, index)) or an explicit
     ``increments`` block of shape (paths, steps, K) must be given.
+    Chunks march in order on the calling thread; keyed runs draw their
+    normals on up to ``workers`` threads (default: the usable cores).
     """
     if (n_paths is None) == (increments is None):
         raise ValueError("give exactly one of n_paths or increments")
@@ -243,24 +248,20 @@ def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
                          f"(paths, {grid.steps}, {spec.k_modes})")
     kern = step_kernels(spec.family, grid, spec.n_modes)
     growth = phi.growth_exponent
-    chunks = [(start, min(CHUNK_SIZE, total - start))
-              for start in range(0, total, CHUNK_SIZE)]
-
-    def work(chunk):
-        start, count = chunk
-        if increments is None:
-            dw = keyed_increments(grid, spec.k_modes, seed, start, count)
-        else:
-            # explicit blocks arrive path-major; a step-major view iterates by step
-            dw = increments[start:start + count].transpose(1, 0, 2)
-        return _chunk_stats(phi, spec, grid, kern, dw, count, start, rule,
-                            collect_stoch, collect_weak, growth, start_index)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, chunks))
-    else:
-        partials = [work(chunk) for chunk in chunks]
+    partials = []
+    # explicit blocks draw nothing, so they start no threads
+    with fill_pool(workers if increments is None else 1, min(CHUNK_SIZE, total)) as pool:
+        for start in range(0, total, CHUNK_SIZE):
+            count = min(CHUNK_SIZE, total - start)
+            if increments is None:
+                dw = keyed_increments(grid, spec.k_modes, seed, start, count,
+                                      workers, pool)
+            else:
+                # explicit blocks arrive path-major; a step-major view iterates by step
+                dw = increments[start:start + count].transpose(1, 0, 2)
+            partials.append(_chunk_stats(phi, spec, grid, kern, dw, count, start, rule,
+                                         collect_stoch, collect_weak, growth,
+                                         start_index))
 
     sums = partials[0]
     for part in partials[1:]:
@@ -283,7 +284,8 @@ def ito_residual(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
 
 def residual_rms(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
                  n_paths: int | None = None, seed: int = 0,
-                 increments: np.ndarray | None = None, workers: int = 1) -> float:
+                 increments: np.ndarray | None = None,
+                 workers: int | None = None) -> float:
     """RMS over paths of the euclidean residual norm."""
     stats = run_ensemble(phi, spec, grid, n_paths=n_paths, seed=seed,
                          increments=increments, collect_stoch=True, workers=workers)
@@ -301,7 +303,7 @@ def coarsen_increments(block: np.ndarray, factor: int) -> np.ndarray:
 def self_convergence_orders(phi: TestFunction, spec: MildItoProcessSpec,
                             start: float, terminal: float, step_counts,
                             n_paths: int, seed: int = 0,
-                            workers: int = 1) -> tuple[list[float], float]:
+                            workers: int | None = None) -> tuple[list[float], float]:
     """RMS residuals on nested grids driven by one coupled set of paths.
 
     Increments are drawn on the finest grid and pairwise-summed onto the
@@ -312,15 +314,16 @@ def self_convergence_orders(phi: TestFunction, spec: MildItoProcessSpec,
     finest = counts[-1]
     fine_grid = TimeGrid(start, terminal, finest)
     block = np.empty((n_paths, finest, spec.k_modes))
-    for i in range(n_paths):
-        block[i] = wiener_block(fine_grid, spec.k_modes, seed, i)
+    with fill_pool(workers, n_paths) as pool:
+        for m, dw in enumerate(keyed_increments(fine_grid, spec.k_modes, seed, 0,
+                                                n_paths, workers, pool)):
+            block[:, m] = dw
     rms = []
     for steps in counts:
         grid = TimeGrid(start, terminal, steps)
         # built inside the call, so each coarsened block is freed before the next
         rms.append(residual_rms(phi, spec, grid, increments=(
-            block if steps == finest else coarsen_increments(block, finest // steps)),
-            workers=workers))
+            block if steps == finest else coarsen_increments(block, finest // steps))))
     slope = np.polyfit(np.log(np.asarray(counts, float)), np.log(rms), 1)[0]
     return rms, float(-slope)
 
@@ -337,7 +340,7 @@ class DynkinResult:
 
 def dynkin_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
                rule: StoppingRule | None = None, *, paths: int, seed: int = 0,
-               workers: int = 1) -> DynkinResult:
+               workers: int | None = None) -> DynkinResult:
     """Monte Carlo estimates of both sides of the mild Dynkin formula.
 
     lhs = E phi(X_bar_tau), rhs = E[phi(S_{t0,T} X_0) + int_{t0}^tau L phi ds],
@@ -357,7 +360,7 @@ def dynkin_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
 
 def martingale_check(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
                      *, paths: int, seed: int = 0,
-                     workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                     workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and stderr of the discrete stochastic integral."""
     stats = run_ensemble(phi, spec, grid, n_paths=paths, seed=seed,
                          collect_stoch=True, workers=workers)
@@ -375,7 +378,7 @@ class WeakEstimateResult:
 
 def weak_estimate_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
                       *, paths: int, seed: int = 0,
-                      workers: int = 1) -> WeakEstimateResult:
+                      workers: int | None = None) -> WeakEstimateResult:
     """Slack of ||E phi(X_T)|| <= ||phi(S X_0)|| + int E ||L phi|| ds.
 
     The polynomial-growth hypothesis is certified numerically first: the

@@ -13,6 +13,9 @@ path blew up (the message names the path index), 4 an internal fault
 report.csv is byte-stable for a fixed (config, seed) regardless of
 --workers; wall-clock timings therefore live in summary.json only,
 under the "timings" key, which is excluded from that contract.
+--workers (default: the usable cores) is the number of threads that
+draw the ensembles' keyed normals; every step, and every BLAS call in
+it, runs on the main thread.
 """
 
 import argparse
@@ -32,7 +35,7 @@ import scipy
 from . import __version__
 from .gamma import HypothesisError
 from .nemytskii import FIELD_NAMES, get_field
-from .process import BlowUpError
+from .process import BlowUpError, usable_cores
 from .suites import run_suite
 from .testfunctions import TEST_FUNCTION_NAMES
 
@@ -67,7 +70,7 @@ class ExperimentConfig:
     stopping: str = "terminal"
     level: float = math.inf
     out: str = "."
-    workers: int = 1
+    workers: int = dataclasses.field(default_factory=usable_cores)
 
 
 _INT_KEYS = {"N", "K", "J", "M_t", "paths", "seed", "workers"}
@@ -249,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, field_ in ExperimentConfig.__dataclass_fields__.items():
         if name == "suite":
             continue
+        default = ("the usable cores, threads that draw the normals"
+                   if name == "workers" else field_.default)
         parser.add_argument(f"--{name}", default=None,
-                            help=f"config key {name} (default {field_.default})")
+                            help=f"config key {name} (default {default})")
     return parser
 
 

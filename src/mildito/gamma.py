@@ -165,8 +165,8 @@ def _mc_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2 ** 64 - 1), chunk_index]))
 
 
-def gamma_norm_mc(op: FiniteRankGammaOperator, samples: int, seed: int = 0,
-                  workers: int = 1) -> tuple[float, float]:
+def gamma_norm_mc(op: FiniteRankGammaOperator, samples: int,
+                  seed: int = 0) -> tuple[float, float]:
     """Monte Carlo gamma norm (E ||sum_k g_k column_k||^2)^(1/2) and its stderr.
 
     Independent standard normals g_k per draw; the standard error of the
@@ -185,12 +185,7 @@ def gamma_norm_mc(op: FiniteRankGammaOperator, samples: int, seed: int = 0,
         return float(np.sum(q)), float(np.sum(q * q))
 
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
-    if workers > 1 and n_chunks > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_sums, range(n_chunks)))
-    else:
-        parts = [chunk_sums(chunk) for chunk in range(n_chunks)]
+    parts = [chunk_sums(chunk) for chunk in range(n_chunks)]
     total = sum(part[0] for part in parts)
     total_sq = sum(part[1] for part in parts)
     mean = total / samples

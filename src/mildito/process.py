@@ -21,6 +21,9 @@ state argument is a (paths, modes) matrix.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,6 +45,8 @@ __all__ = [
     "wiener_sample",
     "wiener_block",
     "keyed_increments",
+    "fill_pool",
+    "usable_cores",
     "path_rng",
     "simulate",
     "mild_sum_states",
@@ -132,24 +137,71 @@ def wiener_block(grid: TimeGrid, k_modes: int, seed: int, path_index: int) -> np
     return g.standard_normal((grid.steps, k_modes)) * np.sqrt(grid.dt)
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _slices(workers: int | None, count: int) -> int:
+    cores = usable_cores()
+    return max(1, min(cores if workers is None else workers, count, cores))
+
+
+@contextmanager
+def fill_pool(workers: int | None, count: int):
+    """Threads for ``keyed_increments`` over at most ``count`` paths per call.
+
+    Yields a pool of S - 1 threads for S = min(workers, count, usable
+    cores), workers defaulting to the usable cores, or None when S = 1;
+    the threads are joined on exit, also on error.
+    """
+    threads = _slices(workers, count) - 1
+    if threads < 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool
+
+
 def keyed_increments(grid: TimeGrid, k_modes: int, seed: int, first_path: int,
-                     count: int):
+                     count: int, workers: int | None = None, pool=None):
     """Each step's (count, K) increments of paths (seed, first_path + i), in step order.
 
     Every path keeps its generator and draws WINDOW steps at a time into a
     path-major (count, WINDOW, K) buffer.  Successive draws from one stream
     give the normals of ``wiener_block`` in the same order, so each path's
-    increments keep their bits.  A yielded view is overwritten at the next
-    refill.
+    increments keep their bits.  With a ``pool`` (see ``fill_pool``) each
+    window is filled in S = min(workers, count, usable cores) contiguous
+    path slices: the calling thread fills the first, pool threads the
+    rest, each drawing and scaling only its own paths' rows.  A window is
+    yielded once every slice is done; a yielded view is overwritten at the
+    next refill.
     """
-    rngs = [path_rng(seed, first_path + i) for i in range(count)]
+    draws = [path_rng(seed, first_path + i).standard_normal for i in range(count)]
     buf = np.empty((count, min(WINDOW, grid.steps), k_modes))
+    # row views and draw methods are made once per chunk, not per window:
+    # the Python run between two draws holds the interpreter lock
+    rows = list(buf)
+    scale = math.sqrt(grid.dt)
+    slices = 1 if pool is None else _slices(workers, count)
+    edges = [count * s // slices for s in range(slices + 1)]
+
+    def fill(lo, hi, width):
+        for draw, out in zip(draws[lo:hi], rows[lo:hi]):
+            draw(out=out if width == len(out) else out[:width])
+        buf[lo:hi, :width] *= scale
+
     for lo in range(0, grid.steps, WINDOW):
-        window = buf[:, :min(WINDOW, grid.steps - lo)]
-        for g, rows in zip(rngs, window):
-            g.standard_normal(out=rows)
-        window *= math.sqrt(grid.dt)
-        yield from window.transpose(1, 0, 2)
+        width = min(WINDOW, grid.steps - lo)
+        helpers = [pool.submit(fill, a, b, width)
+                   for a, b in zip(edges[1:-1], edges[2:])]
+        fill(edges[0], edges[1], width)
+        for done in helpers:
+            done.result()
+        yield from buf[:, :width].transpose(1, 0, 2)
 
 
 def wiener_sample(grid: TimeGrid, k_modes: int, seed: int, path_index: int = 0) -> WienerPath:

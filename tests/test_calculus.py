@@ -1,3 +1,5 @@
+import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -426,14 +428,16 @@ class TestIncrementWindows:
             spec = process.state_diffusion_spec(np.tanh, fam, 5, 3, 16, initial=x0)
             phi = smoothed_norm()
         grid = TimeGrid(0.0, 0.1, steps)
-        # 2050 paths: one full chunk, then a chunk of two
-        keyed = run_ensemble(phi, spec, grid, n_paths=2050, seed=7, collect_stoch=True)
         block = np.stack([process.wiener_block(grid, spec.k_modes, 7, i)
                           for i in range(2050)])
         explicit = run_ensemble(phi, spec, grid, increments=block, collect_stoch=True)
-        assert keyed.sums.keys() == explicit.sums.keys()
-        for key in keyed.sums:
-            assert np.array_equal(keyed.sums[key], explicit.sums[key]), key
+        for workers in (1, 2, 3):
+            # 2050 paths: one full chunk, then a chunk of two
+            keyed = run_ensemble(phi, spec, grid, n_paths=2050, seed=7,
+                                 collect_stoch=True, workers=workers)
+            assert keyed.sums.keys() == explicit.sums.keys()
+            for key in keyed.sums:
+                assert np.array_equal(keyed.sums[key], explicit.sums[key]), (workers, key)
 
     def test_explicit_block_must_match_the_grid(self):
         spec = ou_spec(heat(), 6, 4)
@@ -452,3 +456,64 @@ class TestIncrementWindows:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+
+class TestFillThreads:
+    """Pool threads only draw normals; every step runs on the calling thread."""
+
+    def test_callables_run_on_the_calling_thread(self):
+        seen = set()
+
+        def recorded(fn):
+            def call(*args):
+                seen.add(threading.get_ident())
+                return fn(*args)
+            return call
+
+        base = process.nemytskii_drift_spec(np.tanh, heat(), 6, 6, 16)
+        spec = dataclasses.replace(base, drift=recorded(base.drift),
+                                   diffusion=recorded(base.diffusion))
+        base_phi = smoothed_norm()
+        phi = dataclasses.replace(base_phi, value=recorded(base_phi.value),
+                                  d1=recorded(base_phi.d1),
+                                  trace=recorded(base_phi.trace))
+        # 2050 paths: two chunks
+        run_ensemble(phi, spec, TimeGrid(0.0, 0.1, 6), n_paths=2050, seed=4,
+                     workers=2, collect_stoch=True, collect_weak=True)
+        assert seen == {threading.get_ident()}
+
+    def test_no_pool_thread_outlives_the_run(self):
+        before = threading.active_count()
+        run_ensemble(squared_norm(), ou_spec(heat(), 4, 4), TimeGrid(0.0, 0.1, 40),
+                     n_paths=50, seed=1, workers=3)
+        assert threading.active_count() == before
+        spec = MildItoProcessSpec(heat(), SineBasisVector(np.zeros(4)),
+                                  lambda t, x: np.full_like(x, np.inf), None, 4, 4)
+        with pytest.raises(process.BlowUpError), np.errstate(invalid="ignore"):
+            run_ensemble(squared_norm(), spec, TimeGrid(0.0, 0.1, 40), n_paths=50,
+                         seed=1, workers=3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("paths", [1, 3, 8])
+    def test_threads_stay_under_the_cap(self, monkeypatch, paths):
+        # a broken cap could start at most paths - 1 extra threads here
+        cap = min(paths, process.usable_cores())
+        before = threading.active_count()
+        idents, peak, lock = set(), [before], threading.Lock()
+        keyed = process.path_rng
+
+        class Recorded:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, **kwargs):
+                with lock:
+                    idents.add(threading.get_ident())
+                    peak[0] = max(peak[0], threading.active_count())
+                return self.gen.standard_normal(**kwargs)
+
+        monkeypatch.setattr(process, "path_rng", lambda seed, i: Recorded(keyed(seed, i)))
+        run_ensemble(squared_norm(), ou_spec(heat(), 4, 4), TimeGrid(0.0, 0.1, 70),
+                     n_paths=paths, seed=2, workers=10 ** 6)
+        assert idents and len(idents) <= cap
+        assert peak[0] - before <= cap - 1

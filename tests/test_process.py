@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mildito.process import (
     BlowUpError,
     MildItoProcessSpec,
     TimeGrid,
+    fill_pool,
     integrability_report,
     keyed_increments,
     mild_sum_states,
@@ -72,6 +75,34 @@ class TestWiener:
         assert windowed.shape == (steps, 4, 3)
         for i in range(4):
             np.testing.assert_array_equal(windowed[:, i], wiener_block(grid, 3, 41, 10 + i))
+
+    @pytest.mark.parametrize("steps", [1, 31, 32, 33])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_threaded_fill_matches_whole_blocks(self, workers, count, steps):
+        # pool threads fill and scale their own paths' rows of each window
+        grid = TimeGrid(0.0, 0.2, steps)
+        with fill_pool(workers, count) as pool:
+            windowed = np.array([dw.copy() for dw in
+                                 keyed_increments(grid, 3, 41, 10, count, workers, pool)])
+        assert windowed.shape == (steps, count, 3)
+        for i in range(count):
+            assert np.array_equal(windowed[:, i], wiener_block(grid, 3, 41, 10 + i))
+
+    def test_threaded_fill_under_frequent_switches(self):
+        # threads share one window buffer; a row written by the wrong slice
+        # or read before its slice is done would change the normals
+        grid = TimeGrid(0.0, 0.2, 70)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fill_pool(8, 9) as pool:
+                windowed = np.array([dw.copy() for dw in
+                                     keyed_increments(grid, 5, 3, 0, 9, 8, pool)])
+        finally:
+            sys.setswitchinterval(interval)
+        for i in range(9):
+            assert np.array_equal(windowed[:, i], wiener_block(grid, 5, 3, i))
 
     def test_shape_and_validation(self):
         grid = TimeGrid(0.0, 0.2, 7)
