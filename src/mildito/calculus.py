@@ -25,10 +25,21 @@ their order are those of a single draw per path.  ``workers`` (default:
 the usable cores) only splits each window's draw over that many
 threads; drift, diffusion, test-function and BLAS calls all stay on the
 calling thread.
+
+``run_requests`` is the one march loop.  It marches an ensemble once and
+feeds every request on it (test function, stopping rule, collectors,
+start index) its own accumulator; values every request reads at a step
+(the propagated state, drift and noise columns, the noise increment) are
+formed once.  ``run_ensemble``, ``dynkin_gap``, ``martingale_check`` and
+``weak_estimate_gap`` are its one-request case, and ``EnsemblePlan``
+groups checks declared ahead so that each ensemble marches once.  A
+request's sums are built by the same operations, and reduced in the same
+chunk order, whatever shares its march, so they keep their bits.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +61,10 @@ from .testfunctions import TestFunction, TimeTestFunction
 __all__ = [
     "StoppingRule",
     "EnsembleStats",
+    "EnsembleRequest",
+    "EnsemblePlan",
     "kolmogorov_apply",
+    "run_requests",
     "run_ensemble",
     "ito_residual",
     "residual_rms",
@@ -130,113 +144,184 @@ class EnsembleStats:
         return math.sqrt(max(float(self.sums["s_res2"]) / self.n_paths, 0.0))
 
 
-def _chunk_stats(phi, spec, grid, kern, dW, n_paths, first_path, rule,
-                 collect_stoch, collect_weak, growth, start_index):
+@dataclass(frozen=True)
+class EnsembleRequest:
+    """One consumer of a march: test function, stopping rule, collectors and
+    the grid index the formula starts from."""
+
+    phi: TestFunction
+    rule: StoppingRule | None = None
+    collect_stoch: bool = False
+    collect_weak: bool = False
+    start_index: int = 0
+
+    def __post_init__(self):
+        if self.rule is not None and self.rule.kind == "hitting" and self.start_index:
+            raise ValueError("hitting rules are supported from the start node only")
+
+
+class _Step:
+    """Values of one step that every request reads: each is formed at most once."""
+
+    def __init__(self, spec, kern, dt, stoch_buf, m, x, y, z, dw):
+        self.spec, self.kern, self.dt, self.stoch_buf = spec, kern, dt, stoch_buf
+        self.m, self.x, self.y, self.z, self.dw = m, x, y, z, dw
+
+    @cached_property
+    def xbar(self):
+        return self.kern.to_T[self.m] * self.x
+
+    @cached_property
+    def xbar_norm(self):
+        return np.sqrt(np.sum(self.xbar ** 2, axis=-1))
+
+    @cached_property
+    def ybar(self):
+        return self.kern.to_T[self.m] * self.y
+
+    @cached_property
+    def g_cols(self):
+        return self.kern.noise_T[self.m][:, None] * self.z    # (N, K) or (P, N, K)
+
+    @cached_property
+    def incr(self):
+        """The propagated noise increment S_{m,T} R_m Z dW_m."""
+        diag = self.spec.diffusion_diagonal
+        if diag is None:
+            return apply_columns(self.g_cols, self.dw)
+        # a diagonal diffusion drives the first c = min(N, K) modes only
+        c = min(self.spec.n_modes, self.spec.k_modes)
+        self.stoch_buf[:, :c] = self.dw[:, :c] * (self.kern.noise_T[self.m][:c] * diag[:c])
+        return self.stoch_buf
+
+    @cached_property
+    def y_norm_dt(self):
+        return np.sqrt(np.sum(self.ybar ** 2, axis=-1)) * self.dt
+
+    @cached_property
+    def z2_dt(self):
+        g_cols = self.g_cols
+        if g_cols.ndim == 2:
+            return float(np.sum(g_cols ** 2)) * self.dt
+        return np.sum(g_cols ** 2, axis=(1, 2)) * self.dt
+
+
+class _Accumulator:
+    """One request's per-path functionals over one chunk."""
+
+    def __init__(self, req, n_paths):
+        self.req = req
+        m_dim = req.phi.output_dim
+        self.kol = np.zeros((n_paths, m_dim))
+        self.stoch = np.zeros((n_paths, m_dim))
+        self.phi0 = np.zeros((n_paths, m_dim))
+        self.lphi = np.zeros(n_paths) if req.collect_weak else None
+        self.y_int = np.zeros(n_paths) if req.collect_weak else None
+        self.z2_int = np.zeros(n_paths) if req.collect_weak else None
+        self.hitting = req.rule is not None and req.rule.kind == "hitting"
+        self.active = np.ones(n_paths, dtype=bool)
+        self.phi_stop = np.zeros((n_paths, m_dim))
+
+    def step(self, s: _Step):
+        req, phi = self.req, self.req.phi
+        m, x, y, z, dt = s.m, s.x, s.y, s.z, s.dt
+        m_dim, start, hitting = phi.output_dim, req.start_index, self.hitting
+        need_xbar = (hitting or m == start or y is not None
+                     or (req.collect_stoch and m >= start)
+                     or (z is not None and not phi.constant_d2))
+        xbar = s.xbar if need_xbar else None
+        if hitting:
+            hit = self.active & (s.xbar_norm >= req.rule.level)
+            if hit.any():
+                self.phi_stop[hit] = np.asarray(phi.value(xbar[hit]))
+                self.active &= ~hit
+        if m == start:
+            self.phi0[:] = np.asarray(phi.value(xbar))
+        if m < start:
+            return
+
+        integrand = np.zeros((1, m_dim))
+        if y is not None:
+            integrand = integrand + np.asarray(phi.d1(xbar, s.ybar))
+        if z is not None:
+            trace = 0.5 * np.asarray(phi.d2_trace(xbar if need_xbar else x, s.g_cols))
+            integrand = integrand + trace.reshape((-1, m_dim))
+            if req.collect_stoch:
+                s_add = np.asarray(phi.d1(xbar, s.incr))
+                self.stoch += s_add if not hitting else s_add * self.active[:, None]
+            if req.collect_weak:
+                self.z2_int += s.z2_dt
+        add = integrand * dt
+        self.kol += add if not hitting else add * self.active[:, None]
+        if req.collect_weak:
+            n_paths = self.kol.shape[0]
+            self.lphi += np.sqrt(np.sum(np.broadcast_to(
+                integrand, (n_paths, m_dim)) ** 2, axis=-1)) * dt
+            if y is not None:
+                self.y_int += s.y_norm_dt
+
+    def finish(self, x):
+        """The chunk's sums, given the terminal states."""
+        req = self.req
+        terminal_phi = np.asarray(req.phi.value(x))
+        if self.hitting:
+            phi_stop = self.phi_stop
+            phi_stop[self.active] = terminal_phi[self.active]
+        else:
+            phi_stop = terminal_phi
+
+        rhs = self.phi0 + self.kol
+        gap = phi_stop - rhs
+        res = gap - self.stoch
+
+        sums = {}
+        for key, arr in (("phi_stop", phi_stop), ("phi0", self.phi0), ("kol", self.kol),
+                         ("stoch", self.stoch), ("rhs", rhs), ("gap", gap), ("res", res)):
+            sums["s_" + key] = arr.sum(axis=0)
+            sums["ss_" + key] = (arr ** 2).sum(axis=0)
+        sums["s_res2"] = float(np.sum(res ** 2))
+        if req.collect_weak:
+            for key, arr in (("lphi", self.lphi), ("y_int", self.y_int),
+                             ("z2_int", self.z2_int)):
+                sums["s_" + key] = float(np.sum(arr))
+                sums["ss_" + key] = float(np.sum(arr ** 2))
+            growth = req.phi.growth_exponent
+            # overflow to inf is the signal the moment hypothesis fails
+            with np.errstate(over="ignore"):
+                sums["s_mom_y"] = float(np.sum(self.y_int ** growth))
+                sums["s_mom_z"] = float(np.sum(self.z2_int ** (growth / 2.0)))
+            sums["ss_mom_y"] = sums["ss_mom_z"] = 0.0
+        return sums
+
+
+def _chunk_stats(requests, spec, grid, kern, dW, n_paths, first_path):
     # dW yields the increments of each step in turn, shape (P, K)
-    m_dim = phi.output_dim
-    dt = grid.dt
-
-    kol = np.zeros((n_paths, m_dim))
-    stoch = np.zeros((n_paths, m_dim))
-    phi0 = np.zeros((n_paths, m_dim))
-    lphi = np.zeros(n_paths) if collect_weak else None
-    y_int = np.zeros(n_paths) if collect_weak else None
-    z2_int = np.zeros(n_paths) if collect_weak else None
-
-    hitting = rule is not None and rule.kind == "hitting"
-    if hitting and start_index:
-        raise ValueError("hitting rules are supported from the start node only")
-    active = np.ones(n_paths, dtype=bool)
-    phi_stop = np.zeros((n_paths, m_dim))
-
-    # a diagonal diffusion drives the first c = min(N, K) modes only
-    diag, c = spec.diffusion_diagonal, min(spec.n_modes, spec.k_modes)
-    stoch_buf = np.zeros((n_paths, spec.n_modes)) if (collect_stoch and diag is not None) else None
-
+    accs = [_Accumulator(req, n_paths) for req in requests]
+    stoch_buf = (np.zeros((n_paths, spec.n_modes))
+                 if spec.diffusion_diagonal is not None
+                 and any(r.collect_stoch for r in requests) else None)
     for m, x, y, z, dw in march(spec, grid, kern, dW, n_paths, first_path):
         if m == grid.steps:
             break
-        need_xbar = (hitting or m == start_index or y is not None
-                     or (collect_stoch and m >= start_index)
-                     or (z is not None and not phi.constant_d2))
-        xbar = kern.to_T[m] * x if need_xbar else None
-        if hitting:
-            hit = active & (np.sqrt(np.sum(xbar ** 2, axis=-1)) >= rule.level)
-            if hit.any():
-                phi_stop[hit] = np.asarray(phi.value(xbar[hit]))
-                active &= ~hit
-        if m == start_index:
-            phi0[:] = np.asarray(phi.value(xbar))
-
-        if m >= start_index:
-            integrand = np.zeros((1, m_dim))
-            if y is not None:
-                integrand = integrand + np.asarray(phi.d1(xbar, kern.to_T[m] * y))
-            if z is not None:
-                g_cols = kern.noise_T[m][:, None] * z     # (N, K) or (P, N, K)
-                trace = 0.5 * np.asarray(phi.d2_trace(xbar if need_xbar else x, g_cols))
-                integrand = integrand + trace.reshape((-1, m_dim))
-                if collect_stoch:
-                    if diag is not None:
-                        stoch_buf[:, :c] = dw[:, :c] * (kern.noise_T[m][:c] * diag[:c])
-                        incr = stoch_buf
-                    else:
-                        incr = apply_columns(g_cols, dw)
-                    s_add = np.asarray(phi.d1(xbar, incr))
-                    stoch += s_add if not hitting else s_add * active[:, None]
-                if collect_weak:
-                    if g_cols.ndim == 2:
-                        z2_int += float(np.sum(g_cols ** 2)) * dt
-                    else:
-                        z2_int += np.sum(g_cols ** 2, axis=(1, 2)) * dt
-            add = integrand * dt
-            kol += add if not hitting else add * active[:, None]
-            if collect_weak:
-                lphi += np.sqrt(np.sum(np.broadcast_to(
-                    integrand, (n_paths, m_dim)) ** 2, axis=-1)) * dt
-                if y is not None:
-                    y_int += np.sqrt(np.sum((kern.to_T[m] * y) ** 2, axis=-1)) * dt
-
-    terminal_phi = np.asarray(phi.value(x))
-    if hitting:
-        phi_stop[active] = terminal_phi[active]
-    else:
-        phi_stop = terminal_phi
-
-    rhs = phi0 + kol
-    gap = phi_stop - rhs
-    res = gap - stoch
-
-    sums = {}
-    for key, arr in (("phi_stop", phi_stop), ("phi0", phi0), ("kol", kol),
-                     ("stoch", stoch), ("rhs", rhs), ("gap", gap), ("res", res)):
-        sums["s_" + key] = arr.sum(axis=0)
-        sums["ss_" + key] = (arr ** 2).sum(axis=0)
-    sums["s_res2"] = float(np.sum(res ** 2))
-    if collect_weak:
-        for key, arr in (("lphi", lphi), ("y_int", y_int), ("z2_int", z2_int)):
-            sums["s_" + key] = float(np.sum(arr))
-            sums["ss_" + key] = float(np.sum(arr ** 2))
-        # overflow to inf is the signal the moment hypothesis fails
-        with np.errstate(over="ignore"):
-            sums["s_mom_y"] = float(np.sum(y_int ** growth))
-            sums["s_mom_z"] = float(np.sum(z2_int ** (growth / 2.0)))
-        sums["ss_mom_y"] = sums["ss_mom_z"] = 0.0
-    return sums
+        # every request reads step m before march resumes and updates x in place
+        step = _Step(spec, kern, grid.dt, stoch_buf, m, x, y, z, dw)
+        for acc in accs:
+            acc.step(step)
+    return [acc.finish(x) for acc in accs]
 
 
-def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
+def run_requests(spec: MildItoProcessSpec, grid: TimeGrid, requests, *,
                  n_paths: int | None = None, seed: int = 0,
                  increments: np.ndarray | None = None,
-                 rule: StoppingRule | None = None, workers: int | None = None,
-                 collect_stoch: bool = False, collect_weak: bool = False,
-                 start_index: int = 0) -> EnsembleStats:
-    """Chunked Monte Carlo sweep accumulating the mild-formula functionals.
+                 workers: int | None = None) -> list[EnsembleStats]:
+    """March one ensemble once and accumulate every request on it.
 
     Either ``n_paths`` (paths keyed (seed, index)) or an explicit
     ``increments`` block of shape (paths, steps, K) must be given.
     Chunks march in order on the calling thread; keyed runs draw their
     normals on up to ``workers`` threads (default: the usable cores).
+    Each request's sums are formed with the same operations, and reduced
+    in the same chunk order, as when it runs alone, so they keep its bits.
     """
     if (n_paths is None) == (increments is None):
         raise ValueError("give exactly one of n_paths or increments")
@@ -247,7 +332,6 @@ def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
         raise ValueError(f"increments shaped {increments.shape}, expected "
                          f"(paths, {grid.steps}, {spec.k_modes})")
     kern = step_kernels(spec.family, grid, spec.n_modes)
-    growth = phi.growth_exponent
     partials = []
     # explicit blocks draw nothing, so they start no threads
     with fill_pool(workers if increments is None else 1, min(CHUNK_SIZE, total)) as pool:
@@ -259,15 +343,29 @@ def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
             else:
                 # explicit blocks arrive path-major; a step-major view iterates by step
                 dw = increments[start:start + count].transpose(1, 0, 2)
-            partials.append(_chunk_stats(phi, spec, grid, kern, dw, count, start, rule,
-                                         collect_stoch, collect_weak, growth,
-                                         start_index))
+            partials.append(_chunk_stats(requests, spec, grid, kern, dw, count, start))
 
-    sums = partials[0]
-    for part in partials[1:]:
-        for key in part:
-            sums[key] = sums[key] + part[key]
-    return EnsembleStats(total, phi.output_dim, sums)
+    out = []
+    for i, req in enumerate(requests):
+        sums = partials[0][i]
+        for part in partials[1:]:
+            for key in part[i]:
+                sums[key] = sums[key] + part[i][key]
+        out.append(EnsembleStats(total, req.phi.output_dim, sums))
+    return out
+
+
+def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
+                 n_paths: int | None = None, seed: int = 0,
+                 increments: np.ndarray | None = None,
+                 rule: StoppingRule | None = None, workers: int | None = None,
+                 collect_stoch: bool = False, collect_weak: bool = False,
+                 start_index: int = 0) -> EnsembleStats:
+    """Chunked Monte Carlo sweep accumulating the mild-formula functionals:
+    ``run_requests`` with one request."""
+    request = EnsembleRequest(phi, rule, collect_stoch, collect_weak, start_index)
+    return run_requests(spec, grid, [request], n_paths=n_paths, seed=seed,
+                        increments=increments, workers=workers)[0]
 
 
 def ito_residual(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
@@ -338,6 +436,14 @@ class DynkinResult:
     stderr_gap: np.ndarray
 
 
+def _dynkin_result(stats: EnsembleStats) -> DynkinResult:
+    return DynkinResult(
+        lhs=stats.mean("phi_stop"), rhs=stats.mean("rhs"),
+        stderr_lhs=stats.stderr("phi_stop"), stderr_rhs=stats.stderr("rhs"),
+        gap=stats.mean("gap"), stderr_gap=stats.stderr("gap"),
+    )
+
+
 def dynkin_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
                rule: StoppingRule | None = None, *, paths: int, seed: int = 0,
                workers: int | None = None) -> DynkinResult:
@@ -349,22 +455,20 @@ def dynkin_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
     """
     if paths < 2:
         raise ValueError(f"need at least 2 paths, got {paths}")
-    stats = run_ensemble(phi, spec, grid, n_paths=paths, seed=seed, rule=rule,
-                         workers=workers)
-    return DynkinResult(
-        lhs=stats.mean("phi_stop"), rhs=stats.mean("rhs"),
-        stderr_lhs=stats.stderr("phi_stop"), stderr_rhs=stats.stderr("rhs"),
-        gap=stats.mean("gap"), stderr_gap=stats.stderr("gap"),
-    )
+    return _dynkin_result(run_ensemble(phi, spec, grid, n_paths=paths, seed=seed,
+                                       rule=rule, workers=workers))
+
+
+def _martingale_result(stats: EnsembleStats) -> tuple[np.ndarray, np.ndarray]:
+    return stats.mean("stoch"), stats.stderr("stoch")
 
 
 def martingale_check(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
                      *, paths: int, seed: int = 0,
                      workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and stderr of the discrete stochastic integral."""
-    stats = run_ensemble(phi, spec, grid, n_paths=paths, seed=seed,
-                         collect_stoch=True, workers=workers)
-    return stats.mean("stoch"), stats.stderr("stoch")
+    return _martingale_result(run_ensemble(phi, spec, grid, n_paths=paths, seed=seed,
+                                           collect_stoch=True, workers=workers))
 
 
 @dataclass(frozen=True)
@@ -376,16 +480,8 @@ class WeakEstimateResult:
     moments: dict
 
 
-def weak_estimate_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
-                      *, paths: int, seed: int = 0,
-                      workers: int | None = None) -> WeakEstimateResult:
-    """Slack of ||E phi(X_T)|| <= ||phi(S X_0)|| + int E ||L phi|| ds.
-
-    The polynomial-growth hypothesis is certified numerically first: the
-    p-th moments of the defining integrals must come out finite.
-    """
-    stats = run_ensemble(phi, spec, grid, n_paths=paths, seed=seed,
-                         collect_weak=True, workers=workers)
+def _weak_result(stats: EnsembleStats, phi: TestFunction, spec: MildItoProcessSpec,
+                 grid: TimeGrid) -> WeakEstimateResult:
     p = phi.growth_exponent
     kern = step_kernels(spec.family, grid, spec.n_modes)
     initial_term = float(np.sum((kern.to_T[0] * spec.initial.coeffs) ** 2)) ** 0.5
@@ -409,6 +505,74 @@ def weak_estimate_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGri
         slack=rhs - lhs_norm, lhs_norm=lhs_norm, rhs=rhs,
         stderr=se_lhs + se_rhs, moments=moments,
     )
+
+
+def weak_estimate_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
+                      *, paths: int, seed: int = 0,
+                      workers: int | None = None) -> WeakEstimateResult:
+    """Slack of ||E phi(X_T)|| <= ||phi(S X_0)|| + int E ||L phi|| ds.
+
+    The polynomial-growth hypothesis is certified numerically first: the
+    p-th moments of the defining integrals must come out finite.
+    """
+    stats = run_ensemble(phi, spec, grid, n_paths=paths, seed=seed,
+                         collect_weak=True, workers=workers)
+    return _weak_result(stats, phi, spec, grid)
+
+
+class EnsemblePlan:
+    """Keyed ensemble checks collected before any of them runs.
+
+    ``dynkin_gap``, ``martingale_check``, ``weak_estimate_gap`` and
+    ``run_ensemble`` (``paths`` for its ``n_paths``) take the arguments of
+    the functions of those names, except ``workers``, which is the plan's.
+    Each returns a pending result: calling it gives the result.  Checks on
+    the same (spec, grid, seed, paths) form one group, keyed by the spec
+    object, so a caller builds each spec once.  A group is marched once,
+    with every request it holds, when the first of its results is read;
+    every result keeps the bits of its check run alone.
+    """
+
+    def __init__(self, workers: int | None = None):
+        self.workers = workers
+        self._groups = {}
+
+    def add(self, spec: MildItoProcessSpec, grid: TimeGrid, request: EnsembleRequest,
+            finish, *, paths: int, seed: int = 0):
+        """Pending ``finish(stats)`` of ``request`` on the keyed ensemble."""
+        # the group holds the spec, so its id is not reused while the plan lives
+        group = self._groups.setdefault((id(spec), grid, seed, paths),
+                                        {"spec": spec, "requests": [], "stats": None})
+        if group["stats"] is not None:
+            raise RuntimeError("this ensemble has already been marched")
+        index = len(group["requests"])
+        group["requests"].append(request)
+
+        def result():
+            if group["stats"] is None:
+                group["stats"] = run_requests(spec, grid, group["requests"],
+                                              n_paths=paths, seed=seed,
+                                              workers=self.workers)
+            return finish(group["stats"][index])
+
+        return result
+
+    def run_ensemble(self, phi, spec, grid, *, paths, seed=0):
+        return self.add(spec, grid, EnsembleRequest(phi), lambda stats: stats,
+                        paths=paths, seed=seed)
+
+    def dynkin_gap(self, phi, spec, grid, rule=None, *, paths, seed=0):
+        return self.add(spec, grid, EnsembleRequest(phi, rule), _dynkin_result,
+                        paths=paths, seed=seed)
+
+    def martingale_check(self, phi, spec, grid, *, paths, seed=0):
+        return self.add(spec, grid, EnsembleRequest(phi, collect_stoch=True),
+                        _martingale_result, paths=paths, seed=seed)
+
+    def weak_estimate_gap(self, phi, spec, grid, *, paths, seed=0):
+        return self.add(spec, grid, EnsembleRequest(phi, collect_weak=True),
+                        lambda stats: _weak_result(stats, phi, spec, grid),
+                        paths=paths, seed=seed)
 
 
 def standard_ito_residual(phi: TimeTestFunction, drift, diffusion, grid: TimeGrid,

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,19 +9,24 @@ import pytest
 
 from mildito import calculus, process
 from mildito.calculus import (
+    EnsembleRequest,
     StoppingRule,
     dynkin_gap,
     ito_residual,
     kolmogorov_apply,
     martingale_check,
     run_ensemble,
+    run_requests,
     self_convergence_orders,
     standard_ito_residual,
     stopping_sample,
     weak_estimate_gap,
 )
+from mildito.cli import ExperimentConfig
 from mildito.gamma import FiniteRankGammaOperator, HrCodomain, HypothesisError
+from mildito.nemytskii import get_field
 from mildito.process import MildItoProcessSpec, TimeGrid, ou_spec, wiener_sample
+from mildito.suites import run_suite
 from mildito.spectral import (
     SineBasisVector,
     basis_vector,
@@ -517,3 +524,103 @@ class TestFillThreads:
                      n_paths=paths, seed=2, workers=10 ** 6)
         assert idents and len(idents) <= cap
         assert peak[0] - before <= cap - 1
+
+
+class TestGroupedMarch:
+    """Requests sharing one march keep the bits of their one-request runs."""
+
+    @pytest.mark.parametrize("steps", [1, 33])
+    @pytest.mark.parametrize("make", ["ou", "nemytskii_drift", "state_diffusion"])
+    def test_group_matches_one_request_runs(self, make, steps):
+        fam = heat()
+        x0 = SineBasisVector(0.6 / np.arange(1.0, 7.0))
+        if make == "ou":
+            spec = ou_spec(fam, 6, 4)     # K < N
+        elif make == "nemytskii_drift":
+            spec = process.nemytskii_drift_spec(np.tanh, fam, 6, 6, 32, initial=x0)
+        else:
+            spec = process.state_diffusion_spec(np.tanh, fam, 6, 4, 16, initial=x0)
+        grid = TimeGrid(0.0, 0.1, steps)
+        phis = [squared_norm(), integral_functional(get_field("tanh"), 32),
+                coordinate_functional((1, 2))]
+        rules = [None, StoppingRule("hitting", 0.3), StoppingRule("hitting", math.inf)]
+        requests = [EnsembleRequest(phi, rule, collect_stoch=True, collect_weak=True)
+                    for phi in phis for rule in rules]
+        requests += [EnsembleRequest(phis[0]),
+                     EnsembleRequest(phis[1], collect_stoch=True, collect_weak=True,
+                                     start_index=steps // 2 or 1)]
+        # 2050 paths: one full chunk, then a chunk of two
+        grouped = run_requests(spec, grid, requests, n_paths=2050, seed=6, workers=2)
+        assert len(grouped) == len(requests)
+        for req, stats in zip(requests, grouped):
+            alone = run_ensemble(req.phi, spec, grid, n_paths=2050, seed=6, rule=req.rule,
+                                 collect_stoch=req.collect_stoch,
+                                 collect_weak=req.collect_weak,
+                                 start_index=req.start_index, workers=1)
+            assert stats.sums.keys() == alone.sums.keys()
+            for key in alone.sums:
+                assert np.array_equal(stats.sums[key], alone.sums[key]), (req, key)
+
+    def test_hitting_rules_start_at_the_first_node(self):
+        with pytest.raises(ValueError, match="start node"):
+            EnsembleRequest(squared_norm(), StoppingRule("hitting", 1.0), start_index=2)
+
+
+class TestCheckPlan:
+    """The suites declare their ensemble checks before any runs."""
+
+    @pytest.fixture(scope="class")
+    def suite_all(self):
+        """``run_suite("all")`` at --paths 64 --M_t 8, with every keyed chunk march
+        recorded as (spec, grid, seed, first path, paths)."""
+        marches, seeds = [], {}
+        keyed, march = calculus.keyed_increments, calculus.march
+
+        def recorded_keyed(grid, k_modes, seed, first_path, count, *args):
+            draws = keyed(grid, k_modes, seed, first_path, count, *args)
+            seeds[id(draws)] = seed
+            return draws
+
+        def recorded_march(spec, grid, kern, dW, n_paths, first_path):
+            # explicit increment blocks arrive as arrays, keyed ones as draws
+            if not isinstance(dW, np.ndarray):
+                marches.append((spec.label, spec.n_modes, spec.k_modes,
+                                spec.initial.coeffs.tobytes(), grid, seeds[id(dW)],
+                                first_path, n_paths))
+            return march(spec, grid, kern, dW, n_paths, first_path)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(calculus, "keyed_increments", recorded_keyed)
+            mp.setattr(calculus, "march", recorded_march)
+            start = time.perf_counter()
+            rows = run_suite("all", ExperimentConfig(paths=64, M_t=8, seed=1))
+            wall = time.perf_counter() - start
+        return rows, marches, wall
+
+    def test_one_march_per_keyed_ensemble(self, suite_all):
+        rows, marches, _ = suite_all
+        assert all(row.verdict == "pass" for row in rows)
+        assert len(marches) == len(set(marches))
+        # OU at 64 and at 2000 paths, the deterministic process, the drift
+        # (two chunks of 4000 paths) and the state-dependent diffusion
+        assert len({m[:-2] + (m[-2] + m[-1],) for m in marches if m[-2] == 0}) == 5
+        assert len(marches) == 6
+
+    def test_row_timings_cover_the_run(self, suite_all):
+        rows, _, wall = suite_all
+        timings = [row.wall_time for row in rows]
+        assert min(timings) >= 0.0
+        assert abs(sum(timings) - wall) <= 0.1 * wall
+
+    def test_every_ensemble_takes_the_configured_workers(self, monkeypatch):
+        seen = []
+        pool = calculus.fill_pool
+
+        def recorded(workers, count):
+            seen.append(workers)
+            return pool(workers, count)
+
+        monkeypatch.setattr(calculus, "fill_pool", recorded)
+        rows = run_suite("dynkin", ExperimentConfig(paths=64, M_t=8, workers=1))
+        assert rows and seen
+        assert set(seen) == {1}
