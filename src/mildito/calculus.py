@@ -21,7 +21,9 @@ order; results depend on (seed, paths) only, never on workers.  Within
 a chunk each path's keyed stream is drawn window by window
 (``process.keyed_increments``), so a chunk holds paths x 32 x K doubles
 of increments, not its whole steps x paths x K block; the normals and
-their order are those of a single draw per path.  ``workers`` (default:
+their order are those of a single draw per path.  No function here
+holds a whole block: ``self_convergence_orders`` marches its nested
+grids in lockstep from one windowed stream on the finest.  ``workers`` (default:
 the usable cores) only splits each window's draw over that many
 threads; drift, diffusion, test-function and BLAS calls all stay on the
 calling thread.
@@ -38,8 +40,10 @@ chunk order, whatever shares its march, so they keep their bits.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -295,7 +299,11 @@ class _Accumulator:
 
 
 def _chunk_stats(requests, spec, grid, kern, dW, n_paths, first_path):
-    # dW yields the increments of each step in turn, shape (P, K)
+    """Generator marching one chunk: pauses after each step, returns the sums.
+
+    dW yields the increments of each step in turn, shape (P, K).  ``_finish``
+    drives it to the end; ``self_convergence_orders`` interleaves several.
+    """
     accs = [_Accumulator(req, n_paths) for req in requests]
     stoch_buf = (np.zeros((n_paths, spec.n_modes))
                  if spec.diffusion_diagonal is not None
@@ -307,7 +315,29 @@ def _chunk_stats(requests, spec, grid, kern, dW, n_paths, first_path):
         step = _Step(spec, kern, grid.dt, stoch_buf, m, x, y, z, dw)
         for acc in accs:
             acc.step(step)
+        yield
     return [acc.finish(x) for acc in accs]
+
+
+def _finish(chunk):
+    """Run a ``_chunk_stats`` generator to its end and return its sums."""
+    while True:
+        try:
+            next(chunk)
+        except StopIteration as done:
+            return done.value
+
+
+def _reduce(requests, partials, total):
+    """Each request's chunk sums added in chunk order."""
+    out = []
+    for i, req in enumerate(requests):
+        sums = partials[0][i]
+        for part in partials[1:]:
+            for key in part[i]:
+                sums[key] = sums[key] + part[i][key]
+        out.append(EnsembleStats(total, req.phi.output_dim, sums))
+    return out
 
 
 def run_requests(spec: MildItoProcessSpec, grid: TimeGrid, requests, *,
@@ -343,16 +373,9 @@ def run_requests(spec: MildItoProcessSpec, grid: TimeGrid, requests, *,
             else:
                 # explicit blocks arrive path-major; a step-major view iterates by step
                 dw = increments[start:start + count].transpose(1, 0, 2)
-            partials.append(_chunk_stats(requests, spec, grid, kern, dw, count, start))
-
-    out = []
-    for i, req in enumerate(requests):
-        sums = partials[0][i]
-        for part in partials[1:]:
-            for key in part[i]:
-                sums[key] = sums[key] + part[i][key]
-        out.append(EnsembleStats(total, req.phi.output_dim, sums))
-    return out
+            partials.append(_finish(
+                _chunk_stats(requests, spec, grid, kern, dw, count, start)))
+    return _reduce(requests, partials, total)
 
 
 def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
@@ -398,30 +421,74 @@ def coarsen_increments(block: np.ndarray, factor: int) -> np.ndarray:
     return block.reshape(n_paths, steps // factor, factor, k).sum(axis=2)
 
 
+def _summed_onto(rows, levels):
+    """Pass the fine ``rows`` through, first adding each into the coarse sums.
+
+    ``levels`` holds (factor, queue) pairs: every ``factor`` consecutive
+    rows are summed into a new array, appended to the queue once its last
+    row is drawn.  The sum is ((a0 + a1) + a2) + ..., the order of
+    ``coarsen_increments``, so each coarse increment keeps its bits.
+    """
+    sums = [None] * len(levels)
+    for j, dw in enumerate(rows):
+        for i, (factor, queue) in enumerate(levels):
+            if j % factor == 0:
+                sums[i] = dw.copy()
+            else:
+                sums[i] += dw
+            if j % factor == factor - 1:
+                queue.append(sums[i])
+        yield dw
+
+
 def self_convergence_orders(phi: TestFunction, spec: MildItoProcessSpec,
                             start: float, terminal: float, step_counts,
                             n_paths: int, seed: int = 0,
                             workers: int | None = None) -> tuple[list[float], float]:
     """RMS residuals on nested grids driven by one coupled set of paths.
 
-    Increments are drawn on the finest grid and pairwise-summed onto the
-    coarser ones.  Returns the per-grid RMS values and the fitted
-    convergence order (negated log-log slope against the step count).
+    The step counts must hold at least two distinct positive values, each
+    dividing the finest.  Each chunk of keyed paths draws its increments
+    window by window on the finest grid; a grid coarser by a factor f gets
+    the sum of each f consecutive fine increments, formed as in
+    ``coarsen_increments``, as soon as the last of them is drawn.  The
+    grids march in lockstep, so no increment block is ever held, and each
+    grid's sums are reduced in chunk order.  Returns the per-grid RMS
+    values in ascending step count and the fitted convergence order
+    (negated log-log slope against the step count).
     """
     counts = sorted(step_counts)
+    if (len(set(counts)) < 2 or counts[0] < 1
+            or any(counts[-1] % steps for steps in counts)):
+        raise ValueError(f"step counts {tuple(step_counts)} do not nest: need at least "
+                         "two distinct positive counts, each dividing the finest")
     finest = counts[-1]
-    fine_grid = TimeGrid(start, terminal, finest)
-    block = np.empty((n_paths, finest, spec.k_modes))
-    with fill_pool(workers, n_paths) as pool:
-        for m, dw in enumerate(keyed_increments(fine_grid, spec.k_modes, seed, 0,
-                                                n_paths, workers, pool)):
-            block[:, m] = dw
-    rms = []
-    for steps in counts:
-        grid = TimeGrid(start, terminal, steps)
-        # built inside the call, so each coarsened block is freed before the next
-        rms.append(residual_rms(phi, spec, grid, increments=(
-            block if steps == finest else coarsen_increments(block, finest // steps))))
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    grids = [TimeGrid(start, terminal, steps) for steps in counts]
+    kerns = [step_kernels(spec.family, grid, spec.n_modes) for grid in grids]
+    requests = [EnsembleRequest(phi, collect_stoch=True)]
+    partials = []
+    with fill_pool(workers, min(CHUNK_SIZE, n_paths)) as pool:
+        for first in range(0, n_paths, CHUNK_SIZE):
+            count = min(CHUNK_SIZE, n_paths - first)
+            levels = [(finest // steps, deque()) for steps in counts[:-1]]
+            fine = keyed_increments(grids[-1], spec.k_modes, seed, first, count,
+                                    workers, pool)
+            # a coarse grid pops one completed sum per step
+            feeds = [map(deque.popleft, repeat(queue)) for _, queue in levels]
+            feeds.append(_summed_onto(fine, levels))
+            chunks = [_chunk_stats(requests, spec, grid, kern, feed, count, first)
+                      for grid, kern, feed in zip(grids, kerns, feeds)]
+            for j in range(finest):
+                next(chunks[-1])
+                for (factor, _), chunk in zip(levels, chunks):
+                    if j % factor == factor - 1:
+                        next(chunk)
+            partials.append([_finish(chunk)[0] for chunk in chunks])
+    # one request per grid, reduced like the requests of one march
+    rms = [stats.residual_rms()
+           for stats in _reduce(requests * len(grids), partials, n_paths)]
     slope = np.polyfit(np.log(np.asarray(counts, float)), np.log(rms), 1)[0]
     return rms, float(-slope)
 

@@ -39,7 +39,7 @@ from .process import BlowUpError, usable_cores
 from .suites import run_suite
 from .testfunctions import TEST_FUNCTION_NAMES
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SUITE_NAMES = ("gamma", "nemytskii", "simulate", "ito", "dynkin", "weak", "all")
 
@@ -225,9 +225,10 @@ def render_summary(cfg, rows) -> str:
                    "failed": failed},
         "versions": {"mildito": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        # timings are excluded from the byte-stability contract
-        "timings": {f"{row.suite}/{row.check_id}": round(row.wall_time, 6)
-                    for row in rows},
+        # timings are excluded from the byte-stability contract; a list in
+        # row order, so a repeated check id keeps its own time
+        "timings": [{"suite": row.suite, "check_id": row.check_id,
+                     "wall_s": round(row.wall_time, 6)} for row in rows],
     }
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 

@@ -211,6 +211,67 @@ class TestItoResidual:
         assert order >= 0.3
 
 
+def _coarsened_block_orders(phi, spec, counts, n_paths, seed):
+    """Self-convergence from a materialised fine block: the lockstep oracle."""
+    finest = counts[-1]
+    fine = TimeGrid(0.0, 0.1, finest)
+    block = np.stack([process.wiener_block(fine, spec.k_modes, seed, i)
+                      for i in range(n_paths)])
+    rms = [calculus.residual_rms(phi, spec, TimeGrid(0.0, 0.1, steps), increments=(
+        block if steps == finest else calculus.coarsen_increments(block, finest // steps)))
+        for steps in counts]
+    slope = np.polyfit(np.log(np.asarray(counts, float)), np.log(rms), 1)[0]
+    return rms, float(-slope)
+
+
+SELF_CONVERGENCE_SPECS = {
+    "ou": lambda: ou_spec(heat(), 32, 32),
+    "tanh": lambda: process.nemytskii_drift_spec(np.tanh, heat(), 16, 16, 128),
+    "ou_k_lt_n": lambda: ou_spec(heat(), 8, 5),
+}
+
+
+class TestSelfConvergence:
+    """The nested grids march in lockstep from one windowed keyed stream."""
+
+    @pytest.mark.parametrize("name, counts, paths", [
+        ("ou", (100, 200, 400), 1000),
+        # 1, 2 and 3 chunks; 40 steps end in a partial window, 20 fit in one
+        *[(name, counts, paths)
+          for name, counts in (("ou", (10, 20, 40)), ("tanh", (5, 10, 20)),
+                               ("ou_k_lt_n", (10, 20, 40)))
+          for paths in (1000, 2050, 4500)],
+        # factor 3: a coarse step's fine increments straddle a window edge
+        ("ou_k_lt_n", (20, 60), 2050),
+    ])
+    def test_keeps_the_bits_of_the_coarsened_block(self, name, counts, paths):
+        spec = SELF_CONVERGENCE_SPECS[name]()
+        rms, order = _coarsened_block_orders(squared_norm(), spec, counts, paths, 7)
+        want = [r.hex() for r in rms] + [order.hex()]
+        for workers in (1, 2):
+            rms, order = self_convergence_orders(squared_norm(), spec, 0.0, 0.1, counts,
+                                                 paths, seed=7, workers=workers)
+            assert [r.hex() for r in rms] + [order.hex()] == want, workers
+
+    def test_holds_no_increment_block(self):
+        # the 1000 x 400 x 32 fine block alone would take 97.7 MiB
+        spec = ou_spec(heat(), 32, 32)
+        tracemalloc.start()
+        try:
+            self_convergence_orders(squared_norm(), spec, 0.0, 0.1, (100, 200, 400),
+                                    1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20
+
+    @pytest.mark.parametrize("counts", [(100, 300, 400), (400,), (100, 100)])
+    def test_rejects_step_counts_that_do_not_nest(self, counts):
+        with pytest.raises(ValueError, match="each dividing the finest"):
+            self_convergence_orders(squared_norm(), ou_spec(heat(), 4, 4), 0.0, 0.1,
+                                    counts, 8)
+
+
 class TestStandardIto:
     def test_pure_time_integral(self):
         grid = TimeGrid(0.0, 1.0, 33)
@@ -572,21 +633,33 @@ class TestCheckPlan:
     @pytest.fixture(scope="class")
     def suite_all(self):
         """``run_suite("all")`` at --paths 64 --M_t 8, with every keyed chunk march
-        recorded as (spec, grid, seed, first path, paths)."""
-        marches, seeds = [], {}
+        recorded as (spec, grid, seed, first path, paths), and every march on
+        sums of a keyed stream (the self-convergence grids) as (spec, steps,
+        first path, paths)."""
+        marches, lockstep = [], []
         keyed, march = calculus.keyed_increments, calculus.march
 
+        class Keyed:
+            """A keyed draw, tagged with its seed."""
+
+            def __init__(self, draws, seed):
+                self.draws, self.seed = draws, seed
+
+            def __iter__(self):
+                return self.draws
+
         def recorded_keyed(grid, k_modes, seed, first_path, count, *args):
-            draws = keyed(grid, k_modes, seed, first_path, count, *args)
-            seeds[id(draws)] = seed
-            return draws
+            return Keyed(keyed(grid, k_modes, seed, first_path, count, *args), seed)
 
         def recorded_march(spec, grid, kern, dW, n_paths, first_path):
-            # explicit increment blocks arrive as arrays, keyed ones as draws
-            if not isinstance(dW, np.ndarray):
+            # keyed draws arrive tagged, explicit blocks as arrays, and the
+            # self-convergence grids' sums of a keyed draw as other iterables
+            if isinstance(dW, Keyed):
                 marches.append((spec.label, spec.n_modes, spec.k_modes,
-                                spec.initial.coeffs.tobytes(), grid, seeds[id(dW)],
+                                spec.initial.coeffs.tobytes(), grid, dW.seed,
                                 first_path, n_paths))
+            elif not isinstance(dW, np.ndarray):
+                lockstep.append((spec.label, grid.steps, first_path, n_paths))
             return march(spec, grid, kern, dW, n_paths, first_path)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -595,10 +668,10 @@ class TestCheckPlan:
             start = time.perf_counter()
             rows = run_suite("all", ExperimentConfig(paths=64, M_t=8, seed=1))
             wall = time.perf_counter() - start
-        return rows, marches, wall
+        return rows, marches, lockstep, wall
 
     def test_one_march_per_keyed_ensemble(self, suite_all):
-        rows, marches, _ = suite_all
+        rows, marches, _, _ = suite_all
         assert all(row.verdict == "pass" for row in rows)
         assert len(marches) == len(set(marches))
         # OU at 64 and at 2000 paths, the deterministic process, the drift
@@ -606,8 +679,15 @@ class TestCheckPlan:
         assert len({m[:-2] + (m[-2] + m[-1],) for m in marches if m[-2] == 0}) == 5
         assert len(marches) == 6
 
+    def test_self_convergence_grids_march_on_one_stream(self, suite_all):
+        # OU and tanh drift, each on 100, 200 and 400 steps: one 1000-path chunk
+        _, _, lockstep, _ = suite_all
+        assert sorted(lockstep) == sorted(
+            (label, steps, 0, 1000) for label in ("ou", "nemytskii_drift")
+            for steps in (100, 200, 400))
+
     def test_row_timings_cover_the_run(self, suite_all):
-        rows, _, wall = suite_all
+        rows, _, _, wall = suite_all
         timings = [row.wall_time for row in rows]
         assert min(timings) >= 0.0
         assert abs(sum(timings) - wall) <= 0.1 * wall

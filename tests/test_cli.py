@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -155,12 +156,27 @@ class TestMain:
         assert report.startswith(b"suite,check_id,lhs,rhs,stderr,tolerance,verdict\r\n")
         assert b"ou_rhs_vs_closed_form" in report
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert summary["totals"]["failed"] == 0
         assert summary["config"]["N"] == 12
         assert summary["config"]["level"] == "inf"
         assert "numpy" in summary["versions"]
         assert summary["timings"]
+
+    def test_every_row_keeps_its_timing(self, tmp_path):
+        # gamma/embedding_bound/eps=0,beta=-0.5 is emitted twice at these defaults
+        code = main(["all", "--paths", "64", "--M_t", "8", "--seed", "0",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        timings = summary["timings"]
+        assert len(timings) == summary["totals"]["checks"]
+        assert len({(t["suite"], t["check_id"]) for t in timings}) < len(timings)
+        with open(tmp_path / "report.csv", newline="", encoding="utf-8") as fh:
+            report = list(csv.reader(fh))[1:]
+        assert [(t["suite"], t["check_id"]) for t in timings] == [
+            (row[0], row[1]) for row in report]
+        assert all(t["wall_s"] >= 0.0 for t in timings)
 
     def test_workers_do_not_change_report(self, tmp_path):
         out1, out3 = tmp_path / "w1", tmp_path / "w3"
