@@ -23,6 +23,7 @@ from .spectral import (
     GridFunction,
     SineBasisVector,
     eigenvalues,
+    grid_lp_norms,
     sine_matrix,
 )
 
@@ -45,10 +46,13 @@ __all__ = [
     "bilinear_sum",
     "hilbert_inner_form",
     "fractional_power_operator",
+    "gaussian_series_bound",
+    "check_smoothing",
     "smoothing_gamma_bound",
     "iota_embedding",
     "embedding_bound",
     "apply_embedding",
+    "check_multiplication",
     "multiplication_operator",
     "MultiplicationOperator",
     "estimate_sobolev_constant",
@@ -107,12 +111,12 @@ def element_norms(codomain: Codomain, elements: np.ndarray) -> np.ndarray:
         w = eigenvalues(elements.shape[-1]) ** (2.0 * codomain.r)
         return np.sqrt(np.einsum("...n,n->...", elements ** 2, w))
     if isinstance(codomain, LpCodomain):
-        return np.mean(np.abs(elements) ** codomain.p, axis=-1) ** (1.0 / codomain.p)
+        return grid_lp_norms(elements, codomain.p)
     if isinstance(codomain, VrCodomain):
         n_modes = elements.shape[-1]
         weighted = elements * eigenvalues(n_modes) ** codomain.r
         grid = weighted @ sine_matrix(codomain.resolution, n_modes).T
-        return np.mean(np.abs(grid) ** codomain.p, axis=-1) ** (1.0 / codomain.p)
+        return grid_lp_norms(grid, codomain.p)
     raise TypeError(f"unknown codomain {codomain!r}")
 
 
@@ -345,6 +349,9 @@ def gaussian_abs_moment(p: float) -> float:
     if p <= 0:
         raise ValueError(f"moment order must be positive, got {p}")
     log_moment = 0.5 * p * math.log(2.0) + gammaln((p + 1) / 2.0) - 0.5 * math.log(math.pi)
+    if math.isinf(log_moment):
+        # gammaln overflows beyond p ~ 5e305; there Stirling's sqrt(p/e) agrees to rounding
+        return math.sqrt(p / math.e)
     return math.exp(log_moment / p)
 
 
@@ -359,28 +366,43 @@ def fractional_power_operator(exponent: float, n_modes: int,
     return FiniteRankGammaOperator(cols, codomain)
 
 
+def gaussian_series_bound(p: float, exponent: float, n_modes: int) -> float:
+    """(E|N|^p)^{1/p} (sum_{n<=N} n^exponent)^{1/2}: smoothing, embedding, diffusion."""
+    n = np.arange(1, n_modes + 1, dtype=float)
+    return gaussian_abs_moment(p) * math.sqrt(float(np.sum(n ** exponent)))
+
+
+def _against_bound(op: FiniteRankGammaOperator, bound: float, samples: int, seed: int):
+    """Monte Carlo gamma norm of op next to a closed-form bound, 3-stderr slack."""
+    estimate, stderr = gamma_norm_mc(op, samples, seed)
+    return {"mc_estimate": estimate, "stderr": stderr, "bound": bound,
+            "satisfied": estimate <= bound * (1.0 + 3.0 * stderr / max(estimate, 1e-300))}
+
+
+def _check_gaussian_moment(p: float, hypothesis: str) -> None:
+    """L^p-valued gamma bounds need a finite p >= 2 (type 2, finite E|N|^p)."""
+    if not 2 <= p < math.inf:
+        raise HypothesisError(f"{hypothesis} hypothesis: requires 2 <= p < inf, got p={p}")
+
+
+def check_smoothing(r: float, p: float) -> None:
+    """Hypotheses of the smoothing bound."""
+    if not 0.25 < r < math.inf:
+        raise HypothesisError(f"smoothing hypothesis: requires finite r > 1/4, got r={r}")
+    _check_gaussian_moment(p, "smoothing")
+
+
 def smoothing_gamma_bound(r: float, p: float, n_modes: int = 50,
                           samples: int = 10_000, seed: int = 0,
                           resolution: int = DEFAULT_RESOLUTION) -> dict:
     """Monte Carlo gamma(H, L^p) norm of truncated (-A)^{-r} against its bound.
 
     The bound is (E|N|^p)^{1/p} (sum_{n<=N} n^{-4r})^{1/2}; the hypothesis
-    r > 1/4 keeps the untruncated sum finite.
+    r > 1/4 keeps the untruncated sum finite (``check_smoothing``).
     """
-    if r <= 0.25:
-        raise HypothesisError(f"requires r > 1/4, got r={r}")
-    if p < 2:
-        raise HypothesisError(f"requires p >= 2, got p={p}")
+    check_smoothing(r, p)
     op = fractional_power_operator(-r, n_modes, LpCodomain(p, resolution))
-    estimate, stderr = gamma_norm_mc(op, samples, seed)
-    n = np.arange(1, n_modes + 1, dtype=float)
-    bound = gaussian_abs_moment(p) * math.sqrt(float(np.sum(n ** (-4.0 * r))))
-    return {
-        "mc_estimate": estimate,
-        "stderr": stderr,
-        "bound": bound,
-        "satisfied": estimate <= bound * (1.0 + 3.0 * stderr / max(estimate, 1e-300)),
-    }
+    return _against_bound(op, gaussian_series_bound(p, -4.0 * r, n_modes), samples, seed)
 
 
 def iota_embedding(eps: float, beta: float, p: float,
@@ -390,16 +412,13 @@ def iota_embedding(eps: float, beta: float, p: float,
 
     Columns are the images of the H_{-eps} orthonormal basis rho_n^eps e_n,
     so column_n = rho_n^eps e_n in sine coefficients with codomain V_beta.
-    Requires beta + eps < -1/4.
     """
-    if eps < 0:
-        raise HypothesisError(f"requires eps >= 0, got eps={eps}")
-    if not beta + eps < -0.25:
-        raise HypothesisError(
-            f"requires beta + eps < -1/4, got beta={beta}, eps={eps}"
-        )
-    if p < 2:
-        raise HypothesisError(f"requires p >= 2, got p={p}")
+    if not 0 <= eps < math.inf:
+        raise HypothesisError(f"embedding hypothesis: requires finite eps >= 0, got eps={eps}")
+    if not -math.inf < beta + eps < -0.25:
+        raise HypothesisError(f"embedding hypothesis: requires beta + eps < -1/4 with "
+                              f"beta finite, got beta={beta}, eps={eps}")
+    _check_gaussian_moment(p, "embedding")
     cols = np.diag(eigenvalues(n_modes) ** eps)
     return FiniteRankGammaOperator(cols, VrCodomain(beta, p, resolution))
 
@@ -420,15 +439,8 @@ def embedding_bound(eps: float, beta: float, p: float, n_modes: int = 50,
                     resolution: int = DEFAULT_RESOLUTION) -> dict:
     """MC gamma(H_{-eps}, V_beta) norm of iota against its closed-form bound."""
     op = iota_embedding(eps, beta, p, n_modes, resolution)
-    estimate, stderr = gamma_norm_mc(op, samples, seed)
-    n = np.arange(1, n_modes + 1, dtype=float)
-    bound = gaussian_abs_moment(p) * math.sqrt(float(np.sum(n ** (4.0 * (beta + eps)))))
-    return {
-        "mc_estimate": estimate,
-        "stderr": stderr,
-        "bound": bound,
-        "satisfied": estimate <= bound * (1.0 + 3.0 * stderr / max(estimate, 1e-300)),
-    }
+    return _against_bound(op, gaussian_series_bound(p, 4.0 * (beta + eps), n_modes),
+                          samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +464,11 @@ def estimate_sobolev_constant(lebesgue_exponent: float, smoothness: float,
     rho = eigenvalues(n_modes)
     coeffs = rng.standard_normal((samples, n_modes))
     coeffs = np.vstack([coeffs, np.eye(n_modes)])
-    hr = np.sqrt(np.sum(rho ** (2.0 * smoothness) * coeffs ** 2, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a zero coefficient times an overflowed rho^(2r) (inf * 0) counts as 0
+        hr = np.sqrt(np.nansum(rho ** (2.0 * smoothness) * coeffs ** 2, axis=1))
     grids = coeffs @ mat.T
-    lq = np.mean(np.abs(grids) ** lebesgue_exponent, axis=1) ** (1.0 / lebesgue_exponent)
+    lq = grid_lp_norms(grids, lebesgue_exponent)
     return float(np.max(lq / hr))
 
 
@@ -475,22 +489,26 @@ class MultiplicationOperator:
         return SineBasisVector(mat.T @ product / self.multiplier.resolution)
 
 
+def check_multiplication(beta: float, p: float) -> None:
+    """Hypotheses of the multiplication operator (d = 1)."""
+    if not 2 < p < math.inf:
+        raise HypothesisError(f"multiplication hypothesis: requires 2 < p < inf, got p={p}")
+    if not -math.inf < beta <= -1.0 / (2.0 * p):
+        raise HypothesisError(f"multiplication hypothesis: requires finite beta <= "
+                              f"-1/(2p), got beta={beta}, -1/(2p)={-1.0 / (2.0 * p)}")
+
+
 def multiplication_operator(v: GridFunction, beta: float, p: float) -> MultiplicationOperator:
     """The multiplication operator (B v) u = v . u in L(H, H_beta).
 
-    Hypotheses (d = 1): p > 2 and beta <= -1/(2p).  The attached bound is
+    Hypotheses: ``check_multiplication``.  The attached bound is
     SOBOLEV_SAFETY x estimated Sobolev constant x ||v||_{L^p}, against
     which ||(Bv) u||_{H_beta} <= bound ||u||_H is checked downstream.
     """
-    if p <= 2:
-        raise HypothesisError(f"requires p > 2, got p={p}")
-    if beta > -1.0 / (2.0 * p):
-        raise HypothesisError(
-            f"requires beta <= -1/(2p), got beta={beta}, -1/(2p)={-1.0 / (2.0 * p)}"
-        )
+    check_multiplication(beta, p)
     q = 2.0 * p / (p - 2.0)
     constant = SOBOLEV_SAFETY * estimate_sobolev_constant(q, -beta)
-    v_norm = np.mean(np.abs(v.values) ** p) ** (1.0 / p)
+    v_norm = grid_lp_norms(v.values, p)
     return MultiplicationOperator(v, beta, p, constant * float(v_norm))
 
 

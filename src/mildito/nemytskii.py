@@ -27,7 +27,7 @@ from .gamma import (
     SOBOLEV_SAFETY,
     VrCodomain,
     estimate_sobolev_constant,
-    gaussian_abs_moment,
+    gaussian_series_bound,
 )
 from .spectral import DEFAULT_RESOLUTION, GridFunction, lp_norm, sine_matrix
 
@@ -47,9 +47,6 @@ __all__ = [
     "diffusion_norm_bound",
     "diffusion_lipschitz_bound",
 ]
-
-DOMAIN_MEASURE = 1.0
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -159,12 +156,12 @@ class NemytskiiOperator:
     q: float
 
     def __post_init__(self):
-        if self.p < 1:
-            raise HypothesisError(f"requires p >= 1, got p={self.p}")
-        if not self.q > self.field.order * self.p:
+        if not 1 <= self.p < math.inf:
             raise HypothesisError(
-                f"requires q in (n p, inf): q={self.q}, n p={self.field.order * self.p}"
-            )
+                f"composition hypothesis: requires 1 <= p < inf, got p={self.p}")
+        if not self.field.order * self.p < self.q < math.inf:
+            raise HypothesisError(f"composition hypothesis: requires q in (n p, inf): "
+                                  f"q={self.q}, n p={self.field.order * self.p}")
 
 
 def nemytskii_apply(op: NemytskiiOperator, v: GridFunction) -> GridFunction:
@@ -186,12 +183,12 @@ def nemytskii_derivative(op: NemytskiiOperator, m: int, v: GridFunction,
 
 
 def holder_bound_iii(op: NemytskiiOperator, m: int, r: float) -> float:
-    """Constant sup|f^(m)| lambda(O)^{1/p - m/r} bounding the derivative quotients."""
+    """Constant sup|f^(m)| lambda(O)^{1/p - m/r} = sup|f^(m)| on O = (0,1)."""
     if m < 1 or m > op.field.order:
         raise ValueError(f"derivative order {m} outside 1..{op.field.order}")
     if r < m * op.p:
         raise ValueError(f"requires r >= m p = {m * op.p}, got r={r}")
-    return op.field.sup_norms[m] * DOMAIN_MEASURE ** (1.0 / op.p - m / r)
+    return op.field.sup_norms[m]
 
 
 def _sup_quotient(op, m, v, w, samples, s):
@@ -217,9 +214,7 @@ def lipschitz_bound_iv(op: NemytskiiOperator, m: int, r: float, s: float,
             f"requires 1/r + m/s <= 1/p: 1/{r} + {m}/{s} > 1/{op.p}"
         )
     lhs = _sup_quotient(op, m, v, w, samples, s)
-    rhs = (op.field.lipschitz[m]
-           * DOMAIN_MEASURE ** (1.0 / op.p - 1.0 / r - m / s)
-           * lp_norm(GridFunction(v.values - w.values), r))
+    rhs = op.field.lipschitz[m] * lp_norm(GridFunction(v.values - w.values), r)
     return lhs, rhs
 
 
@@ -230,9 +225,7 @@ def lipschitz_bound_v(op: NemytskiiOperator, m: int, r: float,
     if r < (m + 1) * op.p:
         raise ValueError(f"requires r >= (m+1) p = {(m + 1) * op.p}, got r={r}")
     lhs = _sup_quotient(op, m, v, w, samples, r)
-    rhs = (op.field.lipschitz[m]
-           * DOMAIN_MEASURE ** (1.0 / op.p - (m + 1.0) / r)
-           * lp_norm(GridFunction(v.values - w.values), r))
+    rhs = op.field.lipschitz[m] * lp_norm(GridFunction(v.values - w.values), r)
     return lhs, rhs
 
 
@@ -245,11 +238,11 @@ def lipschitz_bound_v(op: NemytskiiOperator, m: int, r: float,
 class DiffusionCoefficient:
     """B(v) u = b(v) . u as a continuous map from L^p into gamma(H, V_beta).
 
-    Hypotheses: beta < -1/4 and p > max{n/(2(|beta|-1/4)), 2n} with n the
-    field order; delta parametrizes the split between the multiplication
-    step (into H_{-eps}, eps = n/(2 p delta)) and the embedding step
-    (H_{-eps} -> V_beta).  The default delta = n/(n+1) mirrors the choice
-    that removes delta from the final statement.
+    Hypotheses: finite beta < -1/4 and max{n/(2(|beta|-1/4)), 2n} < p < inf
+    with n the field order; delta parametrizes the split between the
+    multiplication step (into H_{-eps}, eps = n/(2 p delta)) and the
+    embedding step (H_{-eps} -> V_beta).  The default delta = n/(n+1)
+    mirrors the choice that removes delta from the final statement.
     """
 
     field: ScalarField
@@ -260,19 +253,18 @@ class DiffusionCoefficient:
 
     def __post_init__(self):
         n = self.field.order
-        if not self.beta < -0.25:
-            raise HypothesisError(f"requires beta < -1/4, got beta={self.beta}")
-        floor = max(n / (2.0 * (abs(self.beta) - 0.25)), 2.0 * n)
-        if not self.p > floor:
+        if not -math.inf < self.beta < -0.25:
             raise HypothesisError(
-                f"requires p > max{{n/(2(|beta|-1/4)), 2n}} = {floor:.6g}, got p={self.p}"
-            )
+                f"diffusion hypothesis: requires finite beta < -1/4, got beta={self.beta}")
+        floor = max(n / (2.0 * (abs(self.beta) - 0.25)), 2.0 * n)
+        if not floor < self.p < math.inf:
+            raise HypothesisError(f"diffusion hypothesis: requires max{{n/(2(|beta|-1/4)), "
+                                  f"2n}} = {floor:.6g} < p < inf, got p={self.p}")
         if self.delta is None:
             object.__setattr__(self, "delta", n / (n + 1.0))
         if not floor / self.p < self.delta < 1.0:
-            raise HypothesisError(
-                f"requires delta in ({floor / self.p:.6g}, 1), got delta={self.delta}"
-            )
+            raise HypothesisError(f"diffusion hypothesis: requires delta in "
+                                  f"({floor / self.p:.6g}, 1), got delta={self.delta}")
 
     @property
     def epsilon(self) -> float:
@@ -320,17 +312,11 @@ def diffusion_derivative(coef: DiffusionCoefficient, k: int, v: GridFunction,
     return FiniteRankGammaOperator(cols, coef.codomain)
 
 
-def _sobolev_piece(coef: DiffusionCoefficient) -> float:
-    n = coef.field.order
-    eps = coef.epsilon
-    q = 2.0 * coef.p * coef.delta / (coef.p * coef.delta - 2.0 * n)
-    return SOBOLEV_SAFETY * estimate_sobolev_constant(q, eps)
-
-
-def _embedding_piece(coef: DiffusionCoefficient, n_modes: int) -> float:
-    expo = 4.0 * (coef.beta + coef.epsilon)
-    n = np.arange(1, n_modes + 1, dtype=float)
-    return gaussian_abs_moment(coef.p) * math.sqrt(float(np.sum(n ** expo)))
+def _diffusion_constant(coef: DiffusionCoefficient, n_modes: int) -> float:
+    """Gaussian moment x embedding tail x (safety-widened) Sobolev constant."""
+    q = 2.0 * coef.p * coef.delta / (coef.p * coef.delta - 2.0 * coef.field.order)
+    sobolev = SOBOLEV_SAFETY * estimate_sobolev_constant(q, coef.epsilon)
+    return gaussian_series_bound(coef.p, 4.0 * (coef.beta + coef.epsilon), n_modes) * sobolev
 
 
 def diffusion_norm_bound(coef: DiffusionCoefficient, k: int,
@@ -339,7 +325,7 @@ def diffusion_norm_bound(coef: DiffusionCoefficient, k: int,
     embedding tail x (safety-widened) Sobolev constant x sup|b^(k)|."""
     if k > coef.field.order:
         raise ValueError(f"derivative order {k} exceeds field order {coef.field.order}")
-    return _embedding_piece(coef, n_modes) * _sobolev_piece(coef) * coef.field.sup_norms[k]
+    return _diffusion_constant(coef, n_modes) * coef.field.sup_norms[k]
 
 
 def diffusion_lipschitz_bound(coef: DiffusionCoefficient, k: int,
@@ -354,6 +340,5 @@ def diffusion_lipschitz_bound(coef: DiffusionCoefficient, k: int,
         raise ValueError(f"derivative order {k} outside 1..{coef.field.order}")
     n = coef.field.order
     r_min = coef.p * coef.delta / (n - k * coef.delta)
-    bound = (_embedding_piece(coef, n_modes) * _sobolev_piece(coef)
-             * coef.field.lipschitz[k])
+    bound = _diffusion_constant(coef, n_modes) * coef.field.lipschitz[k]
     return bound, r_min

@@ -32,6 +32,7 @@ __all__ = [
     "basis_vector",
     "synthesize",
     "analyze",
+    "grid_lp_norms",
     "lp_norm",
     "hr_norm",
     "apply_fractional",
@@ -160,11 +161,28 @@ def analyze(g: GridFunction, n_modes: int) -> SineBasisVector:
     return SineBasisVector(mat.T @ g.values / g.resolution)
 
 
+def grid_lp_norms(values: np.ndarray, p: float):
+    """L^p(0,1) norms ((1/J) sum_j |v_j|^p)^(1/p) along the last (grid) axis.
+
+    A norm whose mean of p-th powers over- or underflows is recomputed from
+    the values scaled by their largest modulus; the others keep their bits.
+    """
+    a = np.abs(values)
+    with np.errstate(over="ignore"):
+        powers = np.mean(a ** p, axis=-1)
+    in_range = (powers >= np.finfo(float).tiny) & (powers < np.inf)
+    if in_range.all():
+        return powers ** (1.0 / p)
+    top = np.max(a, axis=-1, keepdims=True)
+    scaled = np.mean((a / np.where(top > 0, top, 1.0)) ** p, axis=-1) ** (1.0 / p)
+    return np.where(in_range, powers ** (1.0 / p), top[..., 0] * scaled)
+
+
 def lp_norm(g: GridFunction, p: float) -> float:
     """L^p(0,1) norm ((1/J) sum |g_j|^p)^(1/p) of a grid function."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return float(np.mean(np.abs(g.values) ** p) ** (1.0 / p))
+    return float(grid_lp_norms(g.values, p))
 
 
 def hr_norm(v: SineBasisVector, r: FractionalIndex = 0.0) -> float:

@@ -29,11 +29,13 @@ from .spectral import (
     SineBasisVector,
     basis_vector,
     eigenvalues,
+    grid_lp_norms,
     heat_family,
+    hr_norm,
     sine_matrix,
 )
 
-__all__ = ["ReportRow", "run_suite", "SUITES"]
+__all__ = ["ReportRow", "run_suite", "SUITES", "EMBEDDING_P"]
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,9 @@ def _random_grid_functions(rng, count, resolution, n_modes=16, scale=1.0):
 # gamma suite
 # ---------------------------------------------------------------------------
 
+# L^p exponent of the V_beta codomain in the embedding-bound rows
+EMBEDDING_P = 4.0
+
 
 def gamma_suite(cfg, run):
     out = _Rows("gamma")
@@ -211,8 +216,8 @@ def gamma_suite(cfg, run):
 
     # embedding bound at the pinned pairs plus the configured one
     for j, (eps, beta_) in enumerate([(0.0, -0.5), (0.05, -0.35), (cfg.eps, cfg.beta)]):
-        res = gamma.embedding_bound(eps, beta_, 4.0, n_modes=50, samples=10_000,
-                                    seed=cfg.seed + 40 + j)
+        res = gamma.embedding_bound(eps, beta_, EMBEDDING_P, n_modes=50,
+                                    samples=10_000, seed=cfg.seed + 40 + j)
         out.bound(f"embedding_bound/eps={eps:g},beta={beta_:g}", res["mc_estimate"],
                   res["bound"], 3.0 * res["stderr"], res["stderr"])
 
@@ -229,10 +234,7 @@ def gamma_suite(cfg, run):
         for _ in range(10):
             u = SineBasisVector(rng.standard_normal(24) / np.arange(1, 25))
             image = mult.apply(u, n_modes=64)
-            lhs = float(np.sqrt(np.sum(
-                eigenvalues(64) ** (2 * cfg.beta) * image.coeffs ** 2)))
-            rhs = mult.bound * float(np.sqrt(np.sum(u.coeffs ** 2)))
-            worst = max(worst, lhs - rhs)
+            worst = max(worst, hr_norm(image, cfg.beta) - mult.bound * hr_norm(u))
     out.bound("multiplication_bound/max_violation", worst, 0.0, 1e-10)
     return out
 
@@ -294,8 +296,8 @@ def nemytskii_suite(cfg, run):
                 vv = _random_grid_functions(rng, 1, cfg.J)[0]
                 uu = _random_grid_functions(rng, m, cfg.J, scale=2.0)
                 num = nemytskii.nemytskii_derivative(op, m, vv, *uu)
-                num_norm = np.mean(np.abs(num.values) ** cfg.p) ** (1 / cfg.p)
-                den = math.prod(np.mean(np.abs(u.values) ** r) ** (1 / r) for u in uu)
+                num_norm = grid_lp_norms(num.values, cfg.p)
+                den = math.prod(grid_lp_norms(u.values, r) for u in uu)
                 if den > 0:
                     worst = max(worst, num_norm / den - const)
             out.bound(f"holder_iii/{f.name}/m={m}", worst, 0.0, 1e-10)
@@ -342,8 +344,7 @@ def nemytskii_suite(cfg, run):
                   nemytskii.diffusion_derivative(coef, k, vv, *dirs,
                                                  n_modes=n_modes, k_modes=k_modes))
             est, se = gamma.gamma_norm_mc(op, 4000, seed=cfg.seed + i)
-            denom = math.prod(np.mean(np.abs(d.values) ** cfg.p) ** (1 / cfg.p)
-                              for d in dirs)
+            denom = math.prod(grid_lp_norms(d.values, cfg.p) for d in dirs)
             worst = max(worst, est - bound * max(denom, 1e-300))
             worst_se = max(worst_se, se)
         out.bound(f"diffusion_bound_iv/k={k}", worst, 0.0, 3.0 * worst_se, worst_se)
@@ -356,8 +357,8 @@ def nemytskii_suite(cfg, run):
     diff = gamma.FiniteRankGammaOperator(op_v.columns - op_w.columns, coef.codomain)
     est, se = gamma.gamma_norm_mc(diff, 4000, seed=cfg.seed)
     r = max(r_min, cfg.p)
-    vw = np.mean(np.abs(v.values - w.values) ** r) ** (1 / r)
-    dirn = np.mean(np.abs(direction.values) ** cfg.p) ** (1 / cfg.p)
+    vw = grid_lp_norms(v.values - w.values, r)
+    dirn = grid_lp_norms(direction.values, cfg.p)
     out.bound("diffusion_lipschitz_v/k=1", est, bound * vw * dirn, 3.0 * se, se)
     return out
 

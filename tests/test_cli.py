@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mildito import cli
+from mildito import cli, gamma, nemytskii
 from mildito.cli import ExperimentConfig, load_config, main, render_report, validate
 from mildito.process import BlowUpError
 from mildito.suites import ReportRow
@@ -63,6 +63,21 @@ class TestValidation:
         with pytest.raises(cli.ConfigError, match="2n"):
             validate(cfg)
 
+    def test_multiplication_hypothesis_at_p2(self):
+        # the smoothing bound allows p = 2; the multiplication operator does not
+        cfg = ExperimentConfig(suite="gamma", p=2.0)
+        with pytest.raises(cli.ConfigError, match="multiplication hypothesis"):
+            validate(cfg)
+
+    def test_validation_runs_no_estimator(self, monkeypatch):
+        def estimator(*args, **kwargs):
+            raise AssertionError("validate ran an estimator")
+
+        monkeypatch.setattr(gamma, "gamma_norm_mc", estimator)
+        monkeypatch.setattr(gamma, "estimate_sobolev_constant", estimator)
+        monkeypatch.setattr(nemytskii, "estimate_sobolev_constant", estimator)
+        validate(ExperimentConfig(suite="all"))
+
     def test_time_order(self):
         cfg = ExperimentConfig(suite="dynkin", T=0.0)
         with pytest.raises(cli.ConfigError, match="T > t0"):
@@ -98,6 +113,18 @@ class TestMain:
         code = main(["gamma", "--beta", "-0.2", "--out", str(tmp_path)])
         assert code == 2
         assert "beta + eps < -1/4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, hypothesis", [
+        (["gamma", "--p", "inf"], "smoothing hypothesis"),
+        (["nemytskii", "--q", "inf"], "composition hypothesis"),
+        (["gamma", "--beta=-inf"], "embedding hypothesis"),
+        (["nemytskii", "--beta=-inf"], "diffusion hypothesis"),
+    ])
+    def test_non_finite_exponent_exits_2(self, argv, hypothesis, capsys, tmp_path):
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        assert hypothesis in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_blow_up_exits_3(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(cli, "run_suite",

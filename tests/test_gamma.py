@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from mildito.gamma import (
     VrCodomain,
     apply_embedding,
     bilinear_sum,
+    check_multiplication,
+    check_smoothing,
     element_norms,
     embedding_bound,
     estimate_sobolev_constant,
@@ -19,6 +23,7 @@ from mildito.gamma import (
     gamma_norm_exact,
     gamma_norm_mc,
     gaussian_abs_moment,
+    gaussian_series_bound,
     hilbert_inner_form,
     ideal_compose,
     ideal_property_gap,
@@ -232,6 +237,60 @@ class TestSmoothingBound:
     def test_divergent_exponent_rejected(self):
         with pytest.raises(HypothesisError):
             smoothing_gamma_bound(0.25, 2.0)
+
+
+class TestHypothesisChecks:
+    @pytest.mark.parametrize("check, args, name", [
+        (check_smoothing, (0.25, 4.0), "smoothing"),
+        (check_smoothing, (math.inf, 4.0), "smoothing"),
+        (check_smoothing, (0.5, math.inf), "smoothing"),
+        (check_smoothing, (0.5, math.nan), "smoothing"),
+        (iota_embedding, (0.0, -math.inf, 4.0), "embedding"),
+        (iota_embedding, (math.inf, -math.inf, 4.0), "embedding"),
+        (iota_embedding, (-0.1, -0.5, 4.0), "embedding"),
+        (iota_embedding, (0.0, -0.5, 1.5), "embedding"),
+        (check_multiplication, (-0.5, 2.0), "multiplication"),
+        (check_multiplication, (-0.5, math.inf), "multiplication"),
+        (check_multiplication, (-math.inf, 4.0), "multiplication"),
+        (check_multiplication, (-0.1, 4.0), "multiplication"),
+    ])
+    def test_violation_names_its_hypothesis(self, check, args, name):
+        with pytest.raises(HypothesisError, match=f"^{name} hypothesis: requires"):
+            check(*args)
+
+    def test_boundaries_accepted(self):
+        check_smoothing(0.2500001, 2.0)
+        check_multiplication(-1.0 / 8.0, 4.0)
+        iota_embedding(0.0, -0.2500001, 2.0)
+
+    def test_series_bound_closed_form(self):
+        # (E N^2)^{1/2} = 1, and sum_{n<=2} n^{-2} = 5/4
+        assert gaussian_series_bound(2.0, -2.0, 2) == pytest.approx(math.sqrt(1.25))
+
+    def test_moment_beyond_gammaln_range(self):
+        # Stirling: (E|N|^p)^{1/p} ~ sqrt(p/e), where gammaln overflows
+        for p in (1e306, 1.7e308):
+            assert gaussian_abs_moment(p) == pytest.approx(math.sqrt(p / math.e))
+
+
+class TestLpSquareFunctionBracket:
+    """||s||_{L^2} <= gamma norm <= (E|N|^p)^{1/p} ||s||_{L^p}, s = (sum_k x_k^2)^{1/2}.
+
+    At each grid point sum_k g_k x_k is N(0, s^2); the lower end is Jensen
+    (grid means are probability norms), the upper end Lyapunov.
+    """
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 10.0])
+    def test_mc_estimate_inside_bracket(self, p):
+        cols = sine_matrix(128, 8) @ (rng(30).standard_normal((8, 5)) / np.arange(1, 9)[:, None])
+        op = FiniteRankGammaOperator(cols, LpCodomain(p, 128))
+        square = np.sqrt(np.sum(cols ** 2, axis=1))
+        lower = float(np.mean(square ** 2) ** 0.5)
+        upper = gaussian_abs_moment(p) * float(np.mean(square ** p) ** (1.0 / p))
+        est, se = gamma_norm_mc(op, 20_000, seed=11)
+        assert lower - 3.0 * se <= est <= upper + 3.0 * se
+        if p == 2.0:
+            assert lower == pytest.approx(upper)
 
 
 class TestEmbedding:

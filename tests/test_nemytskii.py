@@ -114,6 +114,12 @@ class TestApply:
         with pytest.raises(HypothesisError):
             NemytskiiOperator(get_field("tanh"), 2.0, 6.0)   # q = n p exactly
 
+    @pytest.mark.parametrize("p, q", [(2.0, math.inf), (math.inf, math.inf),
+                                      (math.nan, 40.0), (0.5, 40.0)])
+    def test_open_interval_is_finite(self, p, q):
+        with pytest.raises(HypothesisError, match="^composition hypothesis: requires"):
+            NemytskiiOperator(get_field("tanh"), p, q)
+
 
 class TestDerivatives:
     def test_sin_first_derivative_formula(self):
@@ -246,6 +252,12 @@ class TestDiffusionCoefficient:
             make_coef(p=5.0)
         with pytest.raises(HypothesisError):
             make_coef(delta=0.99999 * 6.0 / 10.0)
+
+    @pytest.mark.parametrize("kwargs", [{"beta": -math.inf}, {"beta": math.nan},
+                                        {"p": math.inf}, {"delta": math.nan}])
+    def test_non_finite_exponents_rejected(self, kwargs):
+        with pytest.raises(HypothesisError, match="^diffusion hypothesis: requires"):
+            make_coef(**kwargs)
 
     def test_default_delta_and_epsilon(self):
         coef = make_coef()

@@ -11,6 +11,7 @@ from mildito.spectral import (
     basis_vector,
     eigenfunction_value,
     eigenvalue,
+    grid_lp_norms,
     heat_family,
     hr_norm,
     identity_family,
@@ -105,6 +106,25 @@ class TestNorms:
         assert oracle == pytest.approx(1.5, abs=1e-12)
         got = lp_norm(synthesize(basis_vector(1, 4), 256), 4)
         assert got == pytest.approx(oracle ** 0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("scale, p", [(3.0, 1000.0), (0.3, 1000.0), (3.0, np.inf),
+                                          (1e-200, 4.0), (1e200, 4.0)])
+    def test_lp_norm_outside_float_range_of_powers(self, scale, p):
+        # |g|^p over- or underflows here; the norm is homogeneous, so
+        # ||scale g||_p = scale ||g||_p with ||g||_p computed in range
+        g = synthesize(random_vector(8, 5), 64).values
+        g = g / np.max(np.abs(g))
+        unit = np.max(np.abs(g)) if np.isinf(p) else np.mean(np.abs(g) ** p) ** (1.0 / p)
+        assert lp_norm(GridFunction(scale * g), p) == pytest.approx(scale * unit, rel=1e-12)
+
+    def test_batched_norms_keep_rowwise_values(self):
+        rows = np.vstack([np.full(16, 1e-200), np.linspace(-2.0, 2.0, 16), np.zeros(16)])
+        norms = grid_lp_norms(rows, 6.0)
+        direct = np.mean(np.abs(rows) ** 6.0, axis=-1) ** (1.0 / 6.0)
+        assert direct[0] == 0.0                      # (1e-200)^6 underflows
+        assert norms[0] == pytest.approx(1e-200, rel=1e-12)
+        assert norms[1] == direct[1]                 # in range: the direct bits
+        assert norms[2] == 0.0
 
     def test_lp_rejects_small_p(self):
         with pytest.raises(ValueError):
