@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .spectral import (
     DEFAULT_RESOLUTION,
@@ -348,6 +347,7 @@ def gaussian_abs_moment(p: float) -> float:
     """(E |N(0,1)|^p)^(1/p) via the closed form 2^{p/2} Gamma((p+1)/2)/sqrt(pi)."""
     if p <= 0:
         raise ValueError(f"moment order must be positive, got {p}")
+    from scipy.special import gammaln  # deferred: scipy.special costs ~0.2 s to import
     log_moment = 0.5 * p * math.log(2.0) + gammaln((p + 1) / 2.0) - 0.5 * math.log(math.pi)
     if math.isinf(log_moment):
         # gammaln overflows beyond p ~ 5e305; there Stirling's sqrt(p/e) agrees to rounding

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .gamma import (
     FiniteRankGammaOperator,
@@ -106,15 +105,14 @@ def _rational_d4(x):
 
 
 # exact constants: tanh'' peaks at t^2 = 1/3, tanh'''' at t^2 = (15-sqrt(105))/30,
-# rational'' at x^2 = 3 - 2 sqrt(2); rational''''s peak has no tidy closed form
-# and is resolved by bounded minimization of the exact formula.
+# rational'' at x^2 = 3 - 2 sqrt(2), rational'''' at x = 2 - sqrt(3) (u = x^2 is a root
+# of (u - 1)(u^2 - 14u + 1), where d^5 = 0), pinned as the float a bounded minimization
+# of |rational''''| on [0.05, 1] returns: one ulp below _rational_d4(2 - sqrt(3)).
 _TANH_SUP2 = 4.0 / (3.0 * math.sqrt(3.0))
 _T2 = (15.0 - math.sqrt(105.0)) / 30.0
 _TANH_LIP3 = 8.0 * math.sqrt(_T2) * (1.0 - _T2) * (2.0 - 3.0 * _T2)
 _RATIONAL_SUP2 = 1.0 / (12.0 - 8.0 * math.sqrt(2.0))
-_RATIONAL_LIP3 = float(-minimize_scalar(
-    lambda x: -abs(_rational_d4(x)), bounds=(0.05, 1.0), method="bounded",
-    options={"xatol": 1e-12}).fun)
+_RATIONAL_LIP3 = 19.492785792574942
 
 _REGISTRY = {
     "sin": ScalarField(

@@ -1,10 +1,10 @@
 """Verification suites: each check compares a computed quantity against
 its oracle or bound and yields one report row.
 
-Row semantics follow the report contract: a row passes iff its violation
-(two-sided |lhs - rhs|, or one-sided overshoot for bound checks) stays
-within the stated tolerance.  Wall times are recorded on the rows but
-excluded from the machine-readable report so reruns are byte-stable.
+Row semantics follow the report contract: a row passes iff its lhs, rhs and
+violation (two-sided |lhs - rhs|, or one-sided overshoot for bound checks) are
+finite and the violation is within the tolerance.  Wall times are recorded on
+the rows but excluded from the machine-readable report so reruns are byte-stable.
 
 The ensemble checks of the simulate, dynkin and weak suites are declared
 on one ``calculus.EnsemblePlan`` per ``run_suite`` call before any of them
@@ -66,9 +66,10 @@ class _Rows:
 
     def _push(self, check_id, lhs, rhs, stderr, tolerance, violation):
         now = time.perf_counter()
+        finite = all(map(math.isfinite, (lhs, rhs, violation)))
         self._entries.append(ReportRow(
             self.suite, check_id, float(lhs), float(rhs), float(stderr),
-            float(tolerance), "pass" if abs(violation) <= tolerance else "fail",
+            float(tolerance), "pass" if finite and abs(violation) <= tolerance else "fail",
             now - self._t,
         ))
         self._t = now
@@ -130,6 +131,11 @@ class _Run:
         return _shipped_configs(self._cfg, self.ou)
 
 
+def _worst(worst, x):
+    """``max(worst, x)``, except that a NaN on either side is kept, not dropped."""
+    return math.nan if math.isnan(worst) or math.isnan(x) else max(worst, x)
+
+
 def _random_grid_functions(rng, count, resolution, n_modes=16, scale=1.0):
     mat = sine_matrix(resolution, n_modes)
     coeffs = rng.standard_normal((count, n_modes)) * scale / np.arange(1, n_modes + 1)
@@ -167,7 +173,7 @@ def gamma_suite(cfg, run):
         left = gamma.CoefficientMap(rng.standard_normal((n, n)))
         right = gamma.random_rotation(k, seed=cfg.seed + i)
         lhs, rhs, slack = gamma.ideal_property_gap(left, mid, right)
-        worst = max(worst, lhs - rhs)
+        worst = _worst(worst, lhs - rhs)
     out.bound("ideal_property_exact/max_violation", worst, 0.0, 1e-10)
 
     # ideal property with MC norms on L^p codomains, multiplier left factor
@@ -182,7 +188,7 @@ def gamma_suite(cfg, run):
         right = gamma.random_rotation(k, seed=cfg.seed + 300 + i)
         lhs, rhs, slack = gamma.ideal_property_gap(
             left, mid, right, samples=4000, seed=cfg.seed + i)
-        worst = max(worst, lhs - (rhs + slack))
+        worst = _worst(worst, lhs - (rhs + slack))
     out.bound("ideal_property_mc/max_violation", worst, 0.0, 1e-10)
 
     # bilinear sum bound and rotation invariance, 100 instances
@@ -195,14 +201,14 @@ def gamma_suite(cfg, run):
         beta = gamma.hilbert_inner_form(codomain, n)
         total = gamma.bilinear_sum(beta, a1, a2, check=False)
         bound = gamma.gamma_norm_exact(a1) * gamma.gamma_norm_exact(a2)
-        worst_bound = max(worst_bound, float(np.linalg.norm(total)) - bound)
+        worst_bound = _worst(worst_bound, float(np.linalg.norm(total)) - bound)
         rot = gamma.random_rotation(k, seed=cfg.seed + 500 + i)
         total_rot = gamma.bilinear_sum(
             beta,
             gamma.FiniteRankGammaOperator(a1.columns @ rot, codomain),
             gamma.FiniteRankGammaOperator(a2.columns @ rot, codomain),
             check=False)
-        worst_rot = max(worst_rot, float(np.linalg.norm(total_rot - total)))
+        worst_rot = _worst(worst_rot, float(np.linalg.norm(total_rot - total)))
     out.bound("bilinear_bound/max_violation", worst_bound, 0.0, 1e-10)
     out.bound("bilinear_rotation_invariance", worst_rot, 0.0, 1e-10)
 
@@ -234,7 +240,7 @@ def gamma_suite(cfg, run):
         for _ in range(10):
             u = SineBasisVector(rng.standard_normal(24) / np.arange(1, 25))
             image = mult.apply(u, n_modes=64)
-            worst = max(worst, hr_norm(image, cfg.beta) - mult.bound * hr_norm(u))
+            worst = _worst(worst, hr_norm(image, cfg.beta) - mult.bound * hr_norm(u))
     out.bound("multiplication_bound/max_violation", worst, 0.0, 1e-10)
     return out
 
@@ -273,10 +279,10 @@ def nemytskii_suite(cfg, run):
     for f in fields:
         for m in range(f.order + 1):
             vals = f.derivatives[m](xs)
-            worst = max(worst, float(np.max(np.abs(vals))) - f.sup_norms[m])
+            worst = _worst(worst, float(np.max(np.abs(vals))) - f.sup_norms[m])
             gaps = np.abs(f.derivatives[m](pairs[:, 0]) - f.derivatives[m](pairs[:, 1]))
             ratio = gaps / np.abs(pairs[:, 0] - pairs[:, 1])
-            worst = max(worst, float(np.max(ratio)) - f.lipschitz[m])
+            worst = _worst(worst, float(np.max(ratio)) - f.lipschitz[m])
     out.bound("declared_constants/max_violation", worst, 0.0, 1e-9)
 
     for f in fields:
@@ -299,7 +305,7 @@ def nemytskii_suite(cfg, run):
                 num_norm = grid_lp_norms(num.values, cfg.p)
                 den = math.prod(grid_lp_norms(u.values, r) for u in uu)
                 if den > 0:
-                    worst = max(worst, num_norm / den - const)
+                    worst = _worst(worst, num_norm / den - const)
             out.bound(f"holder_iii/{f.name}/m={m}", worst, 0.0, 1e-10)
 
         # items (iv) and (v) on sampled pairs
@@ -345,8 +351,8 @@ def nemytskii_suite(cfg, run):
                                                  n_modes=n_modes, k_modes=k_modes))
             est, se = gamma.gamma_norm_mc(op, 4000, seed=cfg.seed + i)
             denom = math.prod(grid_lp_norms(d.values, cfg.p) for d in dirs)
-            worst = max(worst, est - bound * max(denom, 1e-300))
-            worst_se = max(worst_se, se)
+            worst = _worst(worst, est - bound * max(denom, 1e-300))
+            worst_se = _worst(worst_se, se)
         out.bound(f"diffusion_bound_iv/k={k}", worst, 0.0, 3.0 * worst_se, worst_se)
 
     bound, r_min = nemytskii.diffusion_lipschitz_bound(coef, 1, n_modes)

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mildito
 from mildito import cli, gamma, nemytskii
 from mildito.cli import ExperimentConfig, load_config, main, render_report, validate
 from mildito.process import BlowUpError
@@ -222,6 +227,30 @@ class TestMain:
         monkeypatch.setattr(cli, "run_suite", lambda name, cfg: rows)
         code = main(["dynkin", "--out", str(tmp_path)] + SMALL)
         assert code == 1
+
+
+def _python(*argv):
+    """Run a fresh interpreter that finds this checkout's ``mildito`` first."""
+    src = str(Path(mildito.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+class TestEntryPoints:
+    def test_import_loads_no_heavy_scipy(self):
+        probe = ("import sys, mildito, mildito.cli\n"
+                 "print(sorted({'scipy.optimize', 'scipy.special'} & set(sys.modules)))\n"
+                 "mildito.gaussian_abs_moment(4.0)\n"
+                 "print('scipy.special' in sys.modules)\n")
+        done = _python("-c", probe)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:2] == ["[]", "True"]
+
+    def test_python_m_mildito(self):
+        done = _python("-m", "mildito", "simulate", "--help")
+        assert done.returncode == 0, done.stderr
+        assert "--paths" in done.stdout
 
 
 class TestRendering:

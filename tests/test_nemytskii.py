@@ -76,6 +76,18 @@ class TestRegistryConstants:
         assert f.sup_norms[2] == pytest.approx(1.0 / (12.0 - 8.0 * math.sqrt(2.0)))
         assert f.sup_norms[3] == 6.0
 
+    def test_rational_lip3_pinned_to_its_minimization(self):
+        # the literal is the float this bounded minimization returns, bit for
+        # bit; it sits within 4e-16 (relative) of |rational''''| at 2 - sqrt(3)
+        from scipy.optimize import minimize_scalar
+        lip3 = get_field("rational").lipschitz[3]
+        found = -minimize_scalar(
+            lambda x: -abs(nemytskii._rational_d4(x)), bounds=(0.05, 1.0),
+            method="bounded", options={"xatol": 1e-12}).fun
+        assert lip3 == float(found)
+        closed = abs(nemytskii._rational_d4(2.0 - math.sqrt(3.0)))
+        assert abs(lip3 - closed) <= 4e-16 * closed
+
     def test_derivatives_match_finite_differences(self):
         h = 1e-6
         xs = np.linspace(-3, 3, 41)
