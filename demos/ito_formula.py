@@ -24,7 +24,6 @@ from mildito.testfunctions import (
     coordinate_functional,
     squared_norm,
     time_functional,
-    with_time,
 )
 
 fam = heat_family(0.0, 0.1)
@@ -55,7 +54,7 @@ w1 = wiener_sample(grid1, 1, seed=7, path_index=0)
 res = standard_ito_residual(time_functional(), None, lambda t, x: np.eye(1),
                             grid1, w1, 1)
 print(f"\nstandard formula, phi(t,x) = t: residual {float(res[0]):.2e}")
-res = standard_ito_residual(with_time(coordinate_functional((1,))),
+res = standard_ito_residual(coordinate_functional((1,)),
                             lambda t, x: -x, lambda t, x: np.eye(1),
                             grid1, w1, 1)
 print(f"standard formula, phi = <x,e1>, scalar OU: residual {float(res[0]):.2e}")

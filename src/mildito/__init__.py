@@ -86,11 +86,9 @@ from .calculus import (                                          # noqa: F401
 )
 from .testfunctions import (                                     # noqa: F401
     TestFunction,
-    TimeTestFunction,
     coordinate_functional,
     integral_functional,
     smoothed_norm,
     squared_norm,
     time_functional,
-    with_time,
 )

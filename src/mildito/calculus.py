@@ -60,7 +60,7 @@ from .process import (
     step_kernels,
 )
 from .spectral import EvolutionFamily, SineBasisVector, identity_family
-from .testfunctions import TestFunction, TimeTestFunction
+from .testfunctions import TestFunction
 
 __all__ = [
     "StoppingRule",
@@ -122,7 +122,7 @@ def kolmogorov_apply(family: EvolutionFamily, s: float, terminal: float,
     out = np.asarray(phi.d1(sx, (mult * y.coeffs)[None, :]))[0]
     if z is not None:
         cols = z.columns if isinstance(z, FiniteRankGammaOperator) else np.asarray(z)
-        out = out + 0.5 * np.ravel(phi.d2_trace(sx, mult[:, None] * cols))
+        out = out + 0.5 * np.ravel(phi.trace(sx, mult[:, None] * cols))
     return out
 
 
@@ -248,7 +248,7 @@ class _Accumulator:
         if y is not None:
             integrand = integrand + np.asarray(phi.d1(xbar, s.ybar))
         if z is not None:
-            trace = 0.5 * np.asarray(phi.d2_trace(xbar if need_xbar else x, s.g_cols))
+            trace = 0.5 * np.asarray(phi.trace(xbar if need_xbar else x, s.g_cols))
             integrand = integrand + trace.reshape((-1, m_dim))
             if req.collect_stoch:
                 s_add = np.asarray(phi.d1(xbar, s.incr))
@@ -642,17 +642,18 @@ class EnsemblePlan:
                         paths=paths, seed=seed)
 
 
-def standard_ito_residual(phi: TimeTestFunction, drift, diffusion, grid: TimeGrid,
+def standard_ito_residual(phi: TestFunction, drift, diffusion, grid: TimeGrid,
                           w: WienerPath, n_modes: int,
                           increments: np.ndarray | None = None,
                           initial: np.ndarray | None = None) -> np.ndarray:
     """Pathwise residual of the standard Ito formula (identity family).
 
-    The process is the plain Euler sum X_{m+1} = X_m + Y dt + Z dW with
-    time-dependent test function: residual = phi(T, X_T) - phi(t0, X_0)
-    - int [d_t phi + d_x phi Y] ds - 1/2 int trace ds - int d_x phi Z dW.
-    Pass ``increments`` of shape (paths, steps, K) to batch paths;
-    otherwise the single WienerPath drives one path.
+    The process is the plain Euler sum X_{m+1} = X_m + Y dt + Z dW, and phi's
+    maps get the node time as ``t``: residual = phi(T, X_T) - phi(t0, X_0)
+    - int [d_t phi + d_x phi Y] ds - 1/2 int trace ds - int d_x phi Z dW,
+    where d_t phi = 0 if ``time_derivative`` is None.  Pass ``increments``
+    of shape (paths, steps, K) to batch paths; otherwise the single
+    WienerPath drives one path.
     """
     block = w.increments[None] if increments is None else increments
     n_paths, _, k_modes = block.shape
@@ -667,14 +668,15 @@ def standard_ito_residual(phi: TimeTestFunction, drift, diffusion, grid: TimeGri
                                 block.transpose(1, 0, 2), n_paths, 0):
         t = nodes[m]
         if m == 0:
-            res = -np.asarray(phi.value(t, x))
+            res = -np.asarray(phi.value(x, t=t))
         if m == grid.steps:
             break
-        res = res - np.asarray(phi.time_derivative(t, x)) * dt
+        if phi.time_derivative is not None:
+            res = res - np.asarray(phi.time_derivative(x, t=t)) * dt
         if y is not None:
-            res = res - np.asarray(phi.d1(t, x, y)) * dt
+            res = res - np.asarray(phi.d1(x, y, t=t)) * dt
         if z is not None:
-            res = res - 0.5 * np.asarray(phi.d2_trace(t, x, z)).reshape((-1, phi.output_dim)) * dt
-            res = res - np.asarray(phi.d1(t, x, apply_columns(z, dw)))
-    res = res + np.asarray(phi.value(nodes[-1], x))
+            res = res - 0.5 * np.asarray(phi.trace(x, z, t=t)).reshape((-1, phi.output_dim)) * dt
+            res = res - np.asarray(phi.d1(x, apply_columns(z, dw), t=t))
+    res = res + np.asarray(phi.value(x, t=nodes[-1]))
     return res[0] if increments is None and n_paths == 1 else res

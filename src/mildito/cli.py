@@ -31,6 +31,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import scipy
@@ -75,18 +76,21 @@ class ExperimentConfig:
     workers: int = dataclasses.field(default_factory=usable_cores)
 
 
-_INT_KEYS = {"N", "K", "J", "M_t", "paths", "seed", "workers"}
-_FLOAT_KEYS = {"T", "t0", "p", "q", "r", "beta", "eps", "delta", "level"}
+# each key's type, read off the annotations (``float | None`` is float)
+_KEY_TYPES = {f.name: next(t for t in (int, float, str) if t in (f.type, *get_args(f.type)))
+              for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _coerce(name, value):
+    """A flag's string or a file's JSON value as the key's type; as its flag
+    would, a number key refuses booleans and an int key fractions."""
     if value is None:
         return None
-    if name in _INT_KEYS:
-        return int(value)
-    if name in _FLOAT_KEYS:
-        return float(value)
-    return str(value)
+    kind = _KEY_TYPES[name]
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if (kind is not str and isinstance(value, bool)) or fraction:
+        raise ConfigError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
@@ -108,7 +112,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         for key, value in overrides.items():
             if value is not None:
                 setattr(cfg, key, _coerce(key, value))
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         # unreadable files and malformed values are configuration errors
         raise ConfigError(str(exc)) from None
     return cfg

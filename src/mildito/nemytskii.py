@@ -16,7 +16,6 @@ columns b(v) . sqrt(2) sin(k pi x) projected onto the sine modes.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -63,11 +62,6 @@ class ScalarField:
     @property
     def order(self) -> int:
         return len(self.derivatives) - 1
-
-    def derivative(self, m: int) -> Callable:
-        if not 0 <= m <= self.order:
-            raise ValueError(f"derivative order {m} outside 0..{self.order}")
-        return self.derivatives[m]
 
 
 def _tanh_d2(x):

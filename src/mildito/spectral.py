@@ -132,9 +132,6 @@ class GridFunction:
     def resolution(self) -> int:
         return self.values.size
 
-    def grid(self) -> np.ndarray:
-        return midpoints(self.resolution)
-
 
 def basis_vector(n: int, n_modes: int) -> SineBasisVector:
     """The n-th coordinate vector e_n on a truncation of n_modes modes."""

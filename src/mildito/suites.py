@@ -458,10 +458,12 @@ def simulate_suite(cfg, run):
 
 
 def _shipped_configs(cfg, ou=None):
-    """(phi, spec, paths) tuples every expectation check runs over.
+    """(phi, spec, grid, paths) tuples every expectation check runs over.
 
     Each spec is built once (``ou`` is used for the OU entries when
     given), so entries on the same process hold the same spec object.
+    The state-dependent diffusion runs on at most 50 steps, the others
+    on the configured grid.
     """
     fam = _family(cfg)
     field = nemytskii.get_field(cfg.field)
@@ -471,14 +473,15 @@ def _shipped_configs(cfg, ou=None):
                                          label=f"{cfg.field}_drift")
     # multiplicative noise needs a state the field does not annihilate
     bumps = SineBasisVector(0.8 / np.arange(1, 11))
+    grid = _grid(cfg)
     return [
-        (testfunctions.squared_norm(), ou, min(cfg.paths, 20_000)),
-        (testfunctions.coordinate_functional((1, 2)), ou, min(cfg.paths, 20_000)),
-        (testfunctions.squared_norm(), drift, 4000),
-        (testfunctions.integral_functional(field), drift, 4000),
+        (testfunctions.squared_norm(), ou, grid, min(cfg.paths, 20_000)),
+        (testfunctions.coordinate_functional((1, 2)), ou, grid, min(cfg.paths, 20_000)),
+        (testfunctions.squared_norm(), drift, grid, 4000),
+        (testfunctions.integral_functional(field), drift, grid, 4000),
         (testfunctions.smoothed_norm(),
          process.state_diffusion_spec(field_eval, fam, 10, 10, 80, initial=bumps),
-         2000),
+         process.TimeGrid(cfg.t0, cfg.T, min(cfg.M_t, 50)), 2000),
     ]
 
 
@@ -517,7 +520,7 @@ def ito_suite(cfg, run):
         testfunctions.time_functional(), None, lambda t, x: np.eye(4), grid, w1, 4)
     out.bound("standard/time_functional", float(np.max(np.abs(res))), 0.0, 1e-12)
     res = calculus.standard_ito_residual(
-        testfunctions.with_time(lin), lambda t, x: -x, lambda t, x: np.eye(8),
+        lin, lambda t, x: -x, lambda t, x: np.eye(8),
         grid, process.wiener_sample(grid, 8, cfg.seed, 6), 8)
     out.bound("standard/linear_phi", float(np.max(np.abs(res))), 0.0, 1e-10)
 
@@ -594,9 +597,7 @@ def dynkin_suite(cfg, run):
         viol = float(np.max(np.abs(mean) - 3.0 * se))
         out.bound(check_id, viol, 0.0, 0.0, float(np.max(se)))
 
-    for i, (phi_i, spec_i, paths_i) in enumerate(run.shipped):
-        grid_i = grid if not spec_i.state_dependent else \
-            process.TimeGrid(cfg.t0, cfg.T, min(cfg.M_t, 50))
+    for i, (phi_i, spec_i, grid_i, paths_i) in enumerate(run.shipped):
         out.later(partial(martingale_row, f"martingale/{i}_{spec_i.label}_{phi_i.name}"),
                   plan.martingale_check(phi_i, spec_i, grid_i, paths=paths_i,
                                         seed=cfg.seed))
@@ -626,9 +627,7 @@ def weak_suite(cfg, run):
         moment_ok = 0.0 if all(np.isfinite(v) for v in res.moments.values()) else 1.0
         out.match(f"moment_hypothesis/{tag}", moment_ok, 0.0, 0.0)
 
-    for i, (phi_i, spec_i, paths_i) in enumerate(run.shipped):
-        grid_i = grid if not spec_i.state_dependent else \
-            process.TimeGrid(cfg.t0, cfg.T, min(cfg.M_t, 50))
+    for i, (phi_i, spec_i, grid_i, paths_i) in enumerate(run.shipped):
         out.later(partial(slack_rows, f"{i}_{spec_i.label}_{phi_i.name}"),
                   plan.weak_estimate_gap(phi_i, spec_i, grid_i, paths=paths_i,
                                          seed=cfg.seed))

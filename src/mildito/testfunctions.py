@@ -2,48 +2,46 @@
 
 All maps are batched: the state argument carries modes on the last axis
 and arbitrary leading axes; outputs append an output axis of length m.
-``d2_trace`` evaluates sum_k phi''(x)(z_k, z_k) over operator columns
-(shape (N, K) shared across the batch, or (P, N, K) per path); shipped
-functions override it with closed forms, the default falls back to a
-column loop.
+``trace`` evaluates sum_k phi''(x)(z_k, z_k) over operator columns
+(shape (N, K) shared across the batch, or (P, N, K) per path) in closed
+form; it is the one second-order map the calculus calls, and ``d2``, the
+plain second derivative, is the reference the traces are tested against.
+
+Every callable takes the time as an optional keyword ``t``: the standard
+Ito formula (``calculus.standard_ito_residual``) passes it, the mild
+engine never does.  The state functions ignore it and leave
+``time_derivative`` at None, which stands for zero; ``time_functional``
+needs it.
 
 The growth metadata (constant, exponent) declares the bound
 ||phi(x)|| <= C (1 + ||x||^p) used by the weak-estimate hypothesis.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .nemytskii import get_field
 from .spectral import sine_matrix
 
 __all__ = [
     "TestFunction",
-    "TimeTestFunction",
     "coordinate_functional",
     "squared_norm",
     "smoothed_norm",
     "integral_functional",
-    "with_time",
     "time_functional",
     "shipped_test_function",
     "TEST_FUNCTION_NAMES",
 ]
 
 
-def _generic_trace(d2, x, cols):
-    if cols.ndim == 2:
-        parts = [d2(x, np.broadcast_to(cols[:, k], x.shape), np.broadcast_to(cols[:, k], x.shape))
-                 for k in range(cols.shape[1])]
-    else:
-        parts = [d2(x, cols[..., k], cols[..., k]) for k in range(cols.shape[-1])]
-    return sum(parts)
-
-
 @dataclass(frozen=True)
 class TestFunction:
-    """phi in C^2 with value/derivative maps and polynomial growth metadata.
+    """phi in C^2 (C^{1,2} with a time derivative) with value/derivative
+    maps and polynomial growth metadata.
 
     ``constant_d2`` marks test functions whose second derivative does not
     depend on the base point (linear and quadratic ones); the integral
@@ -55,34 +53,11 @@ class TestFunction:
     value: Callable
     d1: Callable
     d2: Callable
+    trace: Callable
     growth_exponent: float
     growth_constant: float = 1.0
-    trace: Optional[Callable] = None
+    time_derivative: Optional[Callable] = None
     constant_d2: bool = False
-
-    def d2_trace(self, x, cols):
-        """sum over columns of phi''(x)(z_k, z_k)."""
-        if self.trace is not None:
-            return self.trace(x, cols)
-        return _generic_trace(self.d2, x, np.asarray(cols))
-
-
-@dataclass(frozen=True)
-class TimeTestFunction:
-    """phi(t, x) in C^{1,2} for the standard Ito formula."""
-
-    name: str
-    output_dim: int
-    value: Callable
-    time_derivative: Callable
-    d1: Callable
-    d2: Callable
-    trace: Optional[Callable] = None
-
-    def d2_trace(self, t, x, cols):
-        if self.trace is not None:
-            return self.trace(t, x, cols)
-        return _generic_trace(lambda xx, a, b: self.d2(t, xx, a, b), x, np.asarray(cols))
 
 
 def coordinate_functional(indices=(1,)) -> TestFunction:
@@ -91,44 +66,43 @@ def coordinate_functional(indices=(1,)) -> TestFunction:
     if np.any(idx < 0):
         raise ValueError("mode indices are 1-based")
 
-    def value(x):
+    def value(x, t=None):
         return np.asarray(x)[..., idx]
 
-    def d1(x, v):
+    def d1(x, v, t=None):
         return np.asarray(v)[..., idx]
 
-    def d2(x, a, b):
+    def d2(x, a, b, t=None):
         shape = np.asarray(x).shape[:-1] + (idx.size,)
         return np.zeros(shape)
 
-    def trace(x, cols):
+    def trace(x, cols, t=None):
         return np.zeros(idx.size)
 
     return TestFunction(f"coordinate{tuple(int(i) for i in indices)}", idx.size,
-                        value, d1, d2, growth_exponent=1.0, trace=trace,
-                        constant_d2=True)
+                        value, d1, d2, trace, growth_exponent=1.0, constant_d2=True)
 
 
 def squared_norm() -> TestFunction:
     """phi(x) = ||x||_H^2; phi'' is twice the inner product."""
 
-    def value(x):
+    def value(x, t=None):
         return np.sum(np.asarray(x) ** 2, axis=-1)[..., None]
 
-    def d1(x, v):
+    def d1(x, v, t=None):
         return 2.0 * np.sum(np.asarray(x) * np.asarray(v), axis=-1)[..., None]
 
-    def d2(x, a, b):
+    def d2(x, a, b, t=None):
         return 2.0 * np.sum(np.asarray(a) * np.asarray(b), axis=-1)[..., None]
 
-    def trace(x, cols):
+    def trace(x, cols, t=None):
         cols = np.asarray(cols)
         if cols.ndim == 2:
             return np.array([2.0 * np.sum(cols ** 2)])
         return 2.0 * np.sum(cols ** 2, axis=(-2, -1))[..., None]
 
-    return TestFunction("squared_norm", 1, value, d1, d2, growth_exponent=2.0,
-                        trace=trace, constant_d2=True)
+    return TestFunction("squared_norm", 1, value, d1, d2, trace, growth_exponent=2.0,
+                        constant_d2=True)
 
 
 def smoothed_norm() -> TestFunction:
@@ -137,13 +111,13 @@ def smoothed_norm() -> TestFunction:
     def s(x):
         return np.sqrt(1.0 + np.sum(np.asarray(x) ** 2, axis=-1))
 
-    def value(x):
+    def value(x, t=None):
         return s(x)[..., None]
 
-    def d1(x, v):
+    def d1(x, v, t=None):
         return (np.sum(np.asarray(x) * np.asarray(v), axis=-1) / s(x))[..., None]
 
-    def d2(x, a, b):
+    def d2(x, a, b, t=None):
         x = np.asarray(x)
         sx = s(x)
         ab = np.sum(np.asarray(a) * np.asarray(b), axis=-1)
@@ -151,7 +125,7 @@ def smoothed_norm() -> TestFunction:
         xb = np.sum(x * np.asarray(b), axis=-1)
         return (ab / sx - xa * xb / sx ** 3)[..., None]
 
-    def trace(x, cols):
+    def trace(x, cols, t=None):
         x = np.asarray(x)
         cols = np.asarray(cols)
         sx = s(x)
@@ -163,8 +137,8 @@ def smoothed_norm() -> TestFunction:
             xc = np.einsum("pn,pnk->pk", x, cols)
         return (total / sx - np.sum(xc ** 2, axis=-1) / sx ** 3)[..., None]
 
-    return TestFunction("smoothed_norm", 1, value, d1, d2, growth_exponent=1.0,
-                        growth_constant=2.0, trace=trace)
+    return TestFunction("smoothed_norm", 1, value, d1, d2, trace, growth_exponent=1.0,
+                        growth_constant=2.0)
 
 
 def integral_functional(field, resolution: int = 128) -> TestFunction:
@@ -175,23 +149,23 @@ def integral_functional(field, resolution: int = 128) -> TestFunction:
     """
     f0, f1, f2 = field.derivatives[0], field.derivatives[1], field.derivatives[2]
 
-    def value(x):
+    def value(x, t=None):
         mat = sine_matrix(resolution, np.asarray(x).shape[-1])
         return np.mean(f0(np.asarray(x) @ mat.T), axis=-1)[..., None]
 
-    def d1(x, v):
+    def d1(x, v, t=None):
         mat = sine_matrix(resolution, np.asarray(x).shape[-1])
         gx = np.asarray(x) @ mat.T
         gv = np.asarray(v) @ mat.T
         return np.mean(f1(gx) * gv, axis=-1)[..., None]
 
-    def d2(x, a, b):
+    def d2(x, a, b, t=None):
         mat = sine_matrix(resolution, np.asarray(x).shape[-1])
         gx = np.asarray(x) @ mat.T
         return np.mean(f2(gx) * (np.asarray(a) @ mat.T) * (np.asarray(b) @ mat.T),
                        axis=-1)[..., None]
 
-    def trace(x, cols):
+    def trace(x, cols, t=None):
         x = np.asarray(x)
         cols = np.asarray(cols)
         mat = sine_matrix(resolution, x.shape[-1])
@@ -203,54 +177,42 @@ def integral_functional(field, resolution: int = 128) -> TestFunction:
         return np.mean(gx * np.sum(gcols ** 2, axis=-1), axis=-1)[..., None]
 
     growth = field.sup_norms[0]
-    return TestFunction(f"integral_{field.name}", 1, value, d1, d2,
-                        growth_exponent=0.0, growth_constant=growth, trace=trace)
+    return TestFunction(f"integral_{field.name}", 1, value, d1, d2, trace,
+                        growth_exponent=0.0, growth_constant=growth)
 
 
-def with_time(phi: TestFunction) -> TimeTestFunction:
-    """View a time-independent phi as phi(t, x) with zero time derivative."""
+def time_functional() -> TestFunction:
+    """phi(t, x) = t; the pure time integral.  Its maps need the keyword ``t``."""
 
-    def zero_dt(t, x):
-        return np.zeros(np.asarray(x).shape[:-1] + (phi.output_dim,))
-
-    return TimeTestFunction(
-        phi.name, phi.output_dim,
-        lambda t, x: phi.value(x), zero_dt,
-        lambda t, x, v: phi.d1(x, v),
-        lambda t, x, a, b: phi.d2(x, a, b),
-        trace=None if phi.trace is None else (lambda t, x, cols: phi.trace(x, cols)),
-    )
-
-
-def time_functional() -> TimeTestFunction:
-    """phi(t, x) = t; the pure time integral."""
-
-    def value(t, x):
+    def value(x, *, t):
         return np.full(np.asarray(x).shape[:-1] + (1,), t)
 
-    def dt(t, x):
+    def dt(x, *, t):
         return np.ones(np.asarray(x).shape[:-1] + (1,))
 
-    def zero2(t, x, a, b):
+    def zero(x, *args, t):
         return np.zeros(np.asarray(x).shape[:-1] + (1,))
 
-    return TimeTestFunction("time", 1, value, dt,
-                            lambda t, x, v: zero2(t, x, v, v), zero2)
+    # bounded in x; the bound |t| depends on the horizon, so C is not finite here
+    return TestFunction("time", 1, value, zero, zero, zero, growth_exponent=0.0,
+                        growth_constant=math.inf, time_derivative=dt)
 
 
-TEST_FUNCTION_NAMES = ("coordinate", "squared_norm", "smoothed_norm",
-                       "integral_sin", "integral_tanh", "integral_rational")
+# the test functions the CLI configs name, in registry order
+_SHIPPED = {
+    "coordinate": lambda: coordinate_functional((1,)),
+    "squared_norm": squared_norm,
+    "smoothed_norm": smoothed_norm,
+    "integral_sin": lambda: integral_functional(get_field("sin")),
+    "integral_tanh": lambda: integral_functional(get_field("tanh")),
+    "integral_rational": lambda: integral_functional(get_field("rational")),
+}
+
+TEST_FUNCTION_NAMES = tuple(_SHIPPED)
 
 
 def shipped_test_function(name: str) -> TestFunction:
     """Registry lookup used by the CLI configs."""
-    if name == "coordinate":
-        return coordinate_functional((1,))
-    if name == "squared_norm":
-        return squared_norm()
-    if name == "smoothed_norm":
-        return smoothed_norm()
-    if name.startswith("integral_"):
-        from .nemytskii import get_field
-        return integral_functional(get_field(name[len("integral_"):]))
-    raise KeyError(f"unknown test function {name!r}; registry has {TEST_FUNCTION_NAMES}")
+    if name not in _SHIPPED:
+        raise KeyError(f"unknown test function {name!r}; registry has {TEST_FUNCTION_NAMES}")
+    return _SHIPPED[name]()

@@ -94,9 +94,7 @@ def test_criterion_3_martingale_property():
     cfg = ExperimentConfig(N=16, K=16, M_t=100, paths=8000, seed=11)
     details = []
     ok = True
-    for phi, spec, paths in _shipped_configs(cfg):
-        grid = process.TimeGrid(cfg.t0, cfg.T,
-                                50 if spec.state_dependent else cfg.M_t)
+    for phi, spec, grid, paths in _shipped_configs(cfg):
         mean, se = calculus.martingale_check(phi, spec, grid, paths=paths,
                                              seed=cfg.seed)
         ok = ok and bool(np.all(np.abs(mean) <= 3.0 * se))
@@ -306,9 +304,7 @@ def test_criterion_10_weak_terminal_estimate():
                                        paths=2, seed=0)
     ok = abs(exact.slack) <= 1e-10
     details = [f"deterministic={exact.slack:.2e}"]
-    for phi, spec, paths in _shipped_configs(cfg):
-        grid_i = process.TimeGrid(cfg.t0, cfg.T,
-                                  50 if spec.state_dependent else cfg.M_t)
+    for phi, spec, grid_i, paths in _shipped_configs(cfg):
         res = calculus.weak_estimate_gap(phi, spec, grid_i, paths=paths,
                                          seed=cfg.seed)
         ok = ok and res.slack >= -3.0 * res.stderr

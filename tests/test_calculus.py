@@ -35,12 +35,13 @@ from mildito.spectral import (
     identity_family,
 )
 from mildito.testfunctions import (
+    TEST_FUNCTION_NAMES,
     coordinate_functional,
     integral_functional,
+    shipped_test_function,
     smoothed_norm,
     squared_norm,
     time_functional,
-    with_time,
 )
 
 
@@ -88,12 +89,12 @@ class TestTestFunctions:
         cols = r.standard_normal((6, 4))
         loop = sum(phi.d2(x, np.broadcast_to(cols[:, k], x.shape),
                           np.broadcast_to(cols[:, k], x.shape)) for k in range(4))
-        got = np.broadcast_to(phi.d2_trace(x, cols), loop.shape)
+        got = np.broadcast_to(phi.trace(x, cols), loop.shape)
         np.testing.assert_allclose(got, loop, rtol=1e-12, atol=1e-12)
         batch_cols = r.standard_normal((5, 6, 4))
         loop = sum(phi.d2(x, batch_cols[..., k], batch_cols[..., k])
                    for k in range(4))
-        got = np.broadcast_to(phi.d2_trace(x, batch_cols), loop.shape)
+        got = np.broadcast_to(phi.trace(x, batch_cols), loop.shape)
         np.testing.assert_allclose(got, loop, rtol=1e-12, atol=1e-12)
 
     def test_growth_bound_on_samples(self, phi):
@@ -103,6 +104,13 @@ class TestTestFunctions:
         allowed = phi.growth_constant * (
             1.0 + np.linalg.norm(x, axis=-1) ** phi.growth_exponent)
         assert np.all(norms <= allowed + 1e-12)
+
+    def test_registry_builds_every_named_function(self):
+        built = [shipped_test_function(name).name for name in TEST_FUNCTION_NAMES]
+        assert built == ["coordinate(1,)", "squared_norm", "smoothed_norm",
+                         "integral_sin", "integral_tanh", "integral_rational"]
+        with pytest.raises(KeyError, match="registry has"):
+            shipped_test_function("integral_cos")
 
 
 class TestKolmogorovApply:
@@ -284,12 +292,35 @@ class TestStandardIto:
         grid = TimeGrid(0.0, 1.0, 50)
         w = wiener_sample(grid, 6, 1, 0)
         res = standard_ito_residual(
-            with_time(coordinate_functional((1,))), lambda t, x: -x,
+            coordinate_functional((1,)), lambda t, x: -x,
             lambda t, x: np.eye(6), grid, w, 6)
         assert np.max(np.abs(res)) < 1e-10
 
+    @pytest.mark.parametrize("diffusion", [
+        lambda t, x: 0.5 * np.eye(6),
+        lambda t, x: 0.4 * np.cos(x)[:, :, None] * np.eye(6),
+    ], ids=["constant", "state"])
+    @pytest.mark.parametrize("phi", [
+        coordinate_functional((1, 3)), squared_norm(), smoothed_norm(),
+        integral_functional(get_field("tanh"))], ids=lambda phi: phi.name)
+    def test_identity_family_matches_mild_engine(self, phi, diffusion):
+        """With S = Id the mild residual is the standard one, on one TestFunction."""
+        grid = TimeGrid(0.0, 0.5, 50)
+        w = wiener_sample(grid, 6, 3, 0)
+        x0 = 0.8 / np.arange(1.0, 7.0)
+
+        def drift(t, x):
+            return -x + 0.3 * np.tanh(x)
+
+        spec = MildItoProcessSpec(identity_family(0.0, 0.5), SineBasisVector(x0),
+                                  drift, diffusion, 6, 6, state_dependent=True)
+        mild = ito_residual(phi, spec, grid, w)
+        standard = standard_ito_residual(phi, drift, diffusion, grid, w, 6, initial=x0)
+        scale = max(1.0, float(np.max(np.abs(phi.value(x0[None])))))
+        np.testing.assert_allclose(standard, mild, rtol=0.0, atol=1e-12 * scale)
+
     def test_scalar_ou_self_convergence(self):
-        phi = with_time(squared_norm())
+        phi = squared_norm()
         fine = TimeGrid(0.0, 1.0, 200)
         block = np.stack([process.wiener_block(fine, 1, 23, i) for i in range(500)])
         rms = []

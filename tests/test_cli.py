@@ -168,6 +168,31 @@ class TestMain:
         assert code == 2
         assert "config file must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("N", 12.9, "'N' must be int, got 12.9"),
+        ("seed", True, "'seed' must be int, got True"),
+        ("workers", False, "'workers' must be int, got False"),
+        ("T", True, "'T' must be float, got True"),
+        ("M_t", [8], "not 'list'"),
+    ])
+    def test_config_value_its_flag_rejects_exits_2(self, key, value, message, capsys,
+                                                   tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"N": 12, "K": 8, "M_t": 8, "paths": 64, key: value}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_integral_float_config_value_is_an_int(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"N": 12.0, "K": 8, "M_t": 8, "paths": 1e2}))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 0
+        config = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert (config["N"], config["paths"]) == (12, 100)
+        assert isinstance(config["paths"], int)
+
     def test_null_delta_keeps_its_default(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"delta": None}))
