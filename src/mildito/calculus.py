@@ -22,21 +22,23 @@ a chunk each path's keyed stream is drawn window by window
 (``process.keyed_increments``), so a chunk holds paths x 32 x K doubles
 of increments, not its whole steps x paths x K block; the normals and
 their order are those of a single draw per path.  No function here
-holds a whole block: ``self_convergence_orders`` marches its nested
-grids in lockstep from one windowed stream on the finest.  ``workers`` (default:
-the usable cores) only splits each window's draw over that many
-threads; drift, diffusion, test-function and BLAS calls all stay on the
-calling thread.
+holds a whole block.  ``workers`` (default: the usable cores) only
+splits each window's draw over that many threads; drift, diffusion,
+test-function and BLAS calls all stay on the calling thread.
 
-``run_requests`` is the one march loop.  It marches an ensemble once and
-feeds every request on it (test function, stopping rule, collectors,
-start index) its own accumulator; values every request reads at a step
-(the propagated state, drift and noise columns, the noise increment) are
-formed once.  ``run_ensemble``, ``dynkin_gap``, ``martingale_check`` and
-``weak_estimate_gap`` are its one-request case, and ``EnsemblePlan``
-groups checks declared ahead so that each ensemble marches once.  A
-request's sums are built by the same operations, and reduced in the same
-chunk order, whatever shares its march, so they keep their bits.
+One chunk driver is the one march loop.  It marches nested grids from
+one feed, the coarser ones on sums of the fine increments in lockstep
+(the coupled levels of multilevel Monte Carlo), and gives every request
+(test function, stopping rule, collectors, start index) its own
+accumulator; values every request reads at a step (the propagated state,
+drift and noise columns, the noise increment) are formed once.
+``run_requests`` is its one-grid case, ``self_convergence_orders`` its
+nested-grid case.  ``run_ensemble``, ``dynkin_gap``, ``martingale_check``
+and ``weak_estimate_gap`` are one request of ``run_requests``, and
+``EnsemblePlan`` groups checks declared ahead so that each ensemble
+marches once.  A request's sums are built by the same operations, and
+reduced in the same chunk order, whatever shares its march, so they keep
+their bits.
 """
 
 import math
@@ -131,17 +133,21 @@ class EnsembleStats:
     """Chunk-reduced sums of the per-path functionals of one ensemble run."""
 
     n_paths: int
-    output_dim: int
     sums: dict
 
     def mean(self, key: str) -> np.ndarray:
         return self.sums["s_" + key] / self.n_paths
 
     def stderr(self, key: str) -> np.ndarray:
+        """Standard error of the mean, from the unbiased sample variance:
+        every check's tolerance reads it, and it needs at least 2 paths."""
+        n = self.n_paths
+        if n < 2:
+            raise ValueError(f"a standard error needs at least 2 paths, got {n}")
         mean = self.mean(key)
-        var = self.sums["ss_" + key] / self.n_paths - mean ** 2
-        var = np.maximum(var, 0.0) * self.n_paths / max(self.n_paths - 1, 1)
-        return np.sqrt(var / self.n_paths)
+        var = self.sums["ss_" + key] / n - mean ** 2
+        var = np.maximum(var, 0.0) * n / (n - 1)
+        return np.sqrt(var / n)
 
     def residual_rms(self) -> float:
         """Root mean squared euclidean norm of the pathwise residual."""
@@ -228,30 +234,28 @@ class _Accumulator:
 
     def step(self, s: _Step):
         req, phi = self.req, self.req.phi
-        m, x, y, z, dt = s.m, s.x, s.y, s.z, s.dt
+        m, y, z, dt = s.m, s.y, s.z, s.dt
         m_dim, start, hitting = phi.output_dim, req.start_index, self.hitting
-        need_xbar = (hitting or m == start or y is not None
-                     or (req.collect_stoch and m >= start)
-                     or (z is not None and not phi.constant_d2))
-        xbar = s.xbar if need_xbar else None
         if hitting:
             hit = self.active & (s.xbar_norm >= req.rule.level)
             if hit.any():
-                self.phi_stop[hit] = np.asarray(phi.value(xbar[hit]))
+                self.phi_stop[hit] = np.asarray(phi.value(s.xbar[hit]))
                 self.active &= ~hit
         if m == start:
-            self.phi0[:] = np.asarray(phi.value(xbar))
+            self.phi0[:] = np.asarray(phi.value(s.xbar))
         if m < start:
             return
 
         integrand = np.zeros((1, m_dim))
         if y is not None:
-            integrand = integrand + np.asarray(phi.d1(xbar, s.ybar))
+            integrand = integrand + np.asarray(phi.d1(s.xbar, s.ybar))
         if z is not None:
-            trace = 0.5 * np.asarray(phi.trace(xbar if need_xbar else x, s.g_cols))
+            # a constant phi'' ignores the base point: no state to propagate
+            base = s.x if phi.constant_d2 else s.xbar
+            trace = 0.5 * np.asarray(phi.trace(base, s.g_cols))
             integrand = integrand + trace.reshape((-1, m_dim))
             if req.collect_stoch:
-                s_add = np.asarray(phi.d1(xbar, s.incr))
+                s_add = np.asarray(phi.d1(s.xbar, s.incr))
                 self.stoch += s_add if not hitting else s_add * self.active[:, None]
             if req.collect_weak:
                 self.z2_int += s.z2_dt
@@ -301,8 +305,8 @@ class _Accumulator:
 def _chunk_stats(requests, spec, grid, kern, dW, n_paths, first_path):
     """Generator marching one chunk: pauses after each step, returns the sums.
 
-    dW yields the increments of each step in turn, shape (P, K).  ``_finish``
-    drives it to the end; ``self_convergence_orders`` interleaves several.
+    dW yields the increments of each step in turn, shape (P, K).
+    ``_march_grids`` steps several in lockstep.
     """
     accs = [_Accumulator(req, n_paths) for req in requests]
     stoch_buf = (np.zeros((n_paths, spec.n_modes))
@@ -319,25 +323,60 @@ def _chunk_stats(requests, spec, grid, kern, dW, n_paths, first_path):
     return [acc.finish(x) for acc in accs]
 
 
-def _finish(chunk):
-    """Run a ``_chunk_stats`` generator to its end and return its sums."""
-    while True:
-        try:
-            next(chunk)
-        except StopIteration as done:
-            return done.value
+def _march_grids(requests, spec, grids, n_paths, seed, increments, workers):
+    """March nested grids (finest last) chunk by chunk from one feed.
 
-
-def _reduce(requests, partials, total):
-    """Each request's chunk sums added in chunk order."""
-    out = []
-    for i, req in enumerate(requests):
-        sums = partials[0][i]
-        for part in partials[1:]:
-            for key in part[i]:
-                sums[key] = sums[key] + part[i][key]
-        out.append(EnsembleStats(total, req.phi.output_dim, sums))
-    return out
+    The feed is the finest grid's increments: windows of the paths keyed
+    (seed, index), or an explicit (paths, steps, K) block.  A grid coarser
+    by a factor f steps on the sum of each f consecutive fine increments
+    (``_summed_onto``) as soon as the last of them arrives, so the grids
+    march in lockstep and no block is held.  As each chunk finishes, every
+    request's sums on every grid are added to the previous chunks', so they
+    are reduced in chunk order.  Returns, per grid, one EnsembleStats per
+    request.
+    """
+    if (n_paths is None) == (increments is None):
+        raise ValueError("give exactly one of n_paths or increments")
+    total = n_paths if increments is None else increments.shape[0]
+    if total < 1:
+        raise ValueError("need at least one path")
+    fine = grids[-1]
+    if increments is not None and increments.shape[1:] != (fine.steps, spec.k_modes):
+        raise ValueError(f"increments shaped {increments.shape}, expected "
+                         f"(paths, {fine.steps}, {spec.k_modes})")
+    kerns = [step_kernels(spec.family, grid, spec.n_modes) for grid in grids]
+    totals = None
+    # explicit blocks draw nothing, so they start no threads
+    with fill_pool(workers if increments is None else 1, min(CHUNK_SIZE, total)) as pool:
+        for first in range(0, total, CHUNK_SIZE):
+            count = min(CHUNK_SIZE, total - first)
+            if increments is None:
+                feed = keyed_increments(fine, spec.k_modes, seed, first, count,
+                                        workers, pool)
+            else:
+                # explicit blocks arrive path-major; a step-major view iterates by step
+                feed = increments[first:first + count].transpose(1, 0, 2)
+            levels = [(fine.steps // grid.steps, deque()) for grid in grids[:-1]]
+            # a coarse grid pops one completed sum per step; a lone grid reads the feed
+            feeds = [map(deque.popleft, repeat(queue)) for _, queue in levels]
+            feeds.append(_summed_onto(feed, levels) if levels else feed)
+            chunks = [_chunk_stats(requests, spec, grid, kern, dw, count, first)
+                      for grid, kern, dw in zip(grids, kerns, feeds)]
+            for j in range(fine.steps):
+                next(chunks[-1])
+                for (factor, _), chunk in zip(levels, chunks):
+                    if j % factor == factor - 1:
+                        next(chunk)
+            parts = []
+            for chunk in chunks:
+                try:    # each chunk is at its last step: resuming it returns the sums
+                    next(chunk)
+                except StopIteration as done:
+                    parts.append(done.value)
+            totals = parts if totals is None else [
+                [{key: acc[key] + part[key] for key in acc} for acc, part in zip(*pair)]
+                for pair in zip(totals, parts)]
+    return [[EnsembleStats(total, sums) for sums in grid_sums] for grid_sums in totals]
 
 
 def run_requests(spec: MildItoProcessSpec, grid: TimeGrid, requests, *,
@@ -350,32 +389,11 @@ def run_requests(spec: MildItoProcessSpec, grid: TimeGrid, requests, *,
     ``increments`` block of shape (paths, steps, K) must be given.
     Chunks march in order on the calling thread; keyed runs draw their
     normals on up to ``workers`` threads (default: the usable cores).
-    Each request's sums are formed with the same operations, and reduced
-    in the same chunk order, as when it runs alone, so they keep its bits.
+    This is the chunk driver on one grid.  Each request's sums are formed
+    with the same operations, and reduced in the same chunk order, as when
+    it runs alone, so they keep its bits.
     """
-    if (n_paths is None) == (increments is None):
-        raise ValueError("give exactly one of n_paths or increments")
-    total = n_paths if increments is None else increments.shape[0]
-    if total < 1:
-        raise ValueError("need at least one path")
-    if increments is not None and increments.shape[1:] != (grid.steps, spec.k_modes):
-        raise ValueError(f"increments shaped {increments.shape}, expected "
-                         f"(paths, {grid.steps}, {spec.k_modes})")
-    kern = step_kernels(spec.family, grid, spec.n_modes)
-    partials = []
-    # explicit blocks draw nothing, so they start no threads
-    with fill_pool(workers if increments is None else 1, min(CHUNK_SIZE, total)) as pool:
-        for start in range(0, total, CHUNK_SIZE):
-            count = min(CHUNK_SIZE, total - start)
-            if increments is None:
-                dw = keyed_increments(grid, spec.k_modes, seed, start, count,
-                                      workers, pool)
-            else:
-                # explicit blocks arrive path-major; a step-major view iterates by step
-                dw = increments[start:start + count].transpose(1, 0, 2)
-            partials.append(_finish(
-                _chunk_stats(requests, spec, grid, kern, dw, count, start)))
-    return _reduce(requests, partials, total)
+    return _march_grids(requests, spec, [grid], n_paths, seed, increments, workers)[0]
 
 
 def run_ensemble(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid, *,
@@ -448,47 +466,23 @@ def self_convergence_orders(phi: TestFunction, spec: MildItoProcessSpec,
     """RMS residuals on nested grids driven by one coupled set of paths.
 
     The step counts must hold at least two distinct positive values, each
-    dividing the finest.  Each chunk of keyed paths draws its increments
-    window by window on the finest grid; a grid coarser by a factor f gets
-    the sum of each f consecutive fine increments, formed as in
-    ``coarsen_increments``, as soon as the last of them is drawn.  The
-    grids march in lockstep, so no increment block is ever held, and each
-    grid's sums are reduced in chunk order.  Returns the per-grid RMS
-    values in ascending step count and the fitted convergence order
-    (negated log-log slope against the step count).
+    dividing the finest.  The grids march in lockstep through the chunk
+    driver of ``run_requests``: each chunk of keyed paths draws its
+    increments window by window on the finest grid, and a grid coarser by
+    a factor f steps on the sums of f consecutive fine increments, formed
+    as in ``coarsen_increments``, so no increment block is ever held.
+    Returns the per-grid RMS values in ascending step count and the fitted
+    convergence order (negated log-log slope against the step count).
     """
     counts = sorted(step_counts)
     if (len(set(counts)) < 2 or counts[0] < 1
             or any(counts[-1] % steps for steps in counts)):
         raise ValueError(f"step counts {tuple(step_counts)} do not nest: need at least "
                          "two distinct positive counts, each dividing the finest")
-    finest = counts[-1]
-    if n_paths < 1:
-        raise ValueError("need at least one path")
     grids = [TimeGrid(start, terminal, steps) for steps in counts]
-    kerns = [step_kernels(spec.family, grid, spec.n_modes) for grid in grids]
-    requests = [EnsembleRequest(phi, collect_stoch=True)]
-    partials = []
-    with fill_pool(workers, min(CHUNK_SIZE, n_paths)) as pool:
-        for first in range(0, n_paths, CHUNK_SIZE):
-            count = min(CHUNK_SIZE, n_paths - first)
-            levels = [(finest // steps, deque()) for steps in counts[:-1]]
-            fine = keyed_increments(grids[-1], spec.k_modes, seed, first, count,
-                                    workers, pool)
-            # a coarse grid pops one completed sum per step
-            feeds = [map(deque.popleft, repeat(queue)) for _, queue in levels]
-            feeds.append(_summed_onto(fine, levels))
-            chunks = [_chunk_stats(requests, spec, grid, kern, feed, count, first)
-                      for grid, kern, feed in zip(grids, kerns, feeds)]
-            for j in range(finest):
-                next(chunks[-1])
-                for (factor, _), chunk in zip(levels, chunks):
-                    if j % factor == factor - 1:
-                        next(chunk)
-            partials.append([_finish(chunk)[0] for chunk in chunks])
-    # one request per grid, reduced like the requests of one march
-    rms = [stats.residual_rms()
-           for stats in _reduce(requests * len(grids), partials, n_paths)]
+    per_grid = _march_grids([EnsembleRequest(phi, collect_stoch=True)], spec, grids,
+                            n_paths, seed, None, workers)
+    rms = [stats.residual_rms() for stats, in per_grid]
     slope = np.polyfit(np.log(np.asarray(counts, float)), np.log(rms), 1)[0]
     return rms, float(-slope)
 
@@ -520,8 +514,6 @@ def dynkin_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGrid,
     over shared paths; the gap is then the sample mean of the discrete
     stochastic integral plus mean-zero discretization fluctuations.
     """
-    if paths < 2:
-        raise ValueError(f"need at least 2 paths, got {paths}")
     return _dynkin_result(run_ensemble(phi, spec, grid, n_paths=paths, seed=seed,
                                        rule=rule, workers=workers))
 
@@ -550,8 +542,8 @@ class WeakEstimateResult:
 def _weak_result(stats: EnsembleStats, phi: TestFunction, spec: MildItoProcessSpec,
                  grid: TimeGrid) -> WeakEstimateResult:
     p = phi.growth_exponent
-    kern = step_kernels(spec.family, grid, spec.n_modes)
-    initial_term = float(np.sum((kern.to_T[0] * spec.initial.coeffs) ** 2)) ** 0.5
+    to_T = spec.family.multipliers(grid.start, grid.terminal, spec.n_modes)
+    initial_term = float(np.sum((to_T * spec.initial.coeffs) ** 2)) ** 0.5
     with np.errstate(over="ignore"):
         moments = {
             "initial": float(np.float64(initial_term) ** np.float64(p)),
@@ -590,14 +582,13 @@ def weak_estimate_gap(phi: TestFunction, spec: MildItoProcessSpec, grid: TimeGri
 class EnsemblePlan:
     """Keyed ensemble checks collected before any of them runs.
 
-    ``dynkin_gap``, ``martingale_check``, ``weak_estimate_gap`` and
-    ``run_ensemble`` (``paths`` for its ``n_paths``) take the arguments of
-    the functions of those names, except ``workers``, which is the plan's.
-    Each returns a pending result: calling it gives the result.  Checks on
-    the same (spec, grid, seed, paths) form one group, keyed by the spec
-    object, so a caller builds each spec once.  A group is marched once,
-    with every request it holds, when the first of its results is read;
-    every result keeps the bits of its check run alone.
+    ``dynkin_gap``, ``martingale_check`` and ``weak_estimate_gap`` take the
+    arguments of the functions of those names, except ``workers``, which is
+    the plan's.  Each returns a pending result: calling it gives the result.
+    Checks on the same (spec, grid, seed, paths) form one group, keyed by
+    the spec object, so a caller builds each spec once.  A group is one
+    ``run_requests`` call, made with every request it holds when the first
+    of its results is read; every result keeps the bits of its check run alone.
     """
 
     def __init__(self, workers: int | None = None):
@@ -623,10 +614,6 @@ class EnsemblePlan:
             return finish(group["stats"][index])
 
         return result
-
-    def run_ensemble(self, phi, spec, grid, *, paths, seed=0):
-        return self.add(spec, grid, EnsembleRequest(phi), lambda stats: stats,
-                        paths=paths, seed=seed)
 
     def dynkin_gap(self, phi, spec, grid, rule=None, *, paths, seed=0):
         return self.add(spec, grid, EnsembleRequest(phi, rule), _dynkin_result,

@@ -373,10 +373,10 @@ def gaussian_series_bound(p: float, exponent: float, n_modes: int) -> float:
 
 
 def _against_bound(op: FiniteRankGammaOperator, bound: float, samples: int, seed: int):
-    """Monte Carlo gamma norm of op next to a closed-form bound, 3-stderr slack."""
+    """Monte Carlo gamma norm of op next to a closed-form bound; the verdict is
+    the report row's, mc_estimate <= bound + 3 stderr."""
     estimate, stderr = gamma_norm_mc(op, samples, seed)
-    return {"mc_estimate": estimate, "stderr": stderr, "bound": bound,
-            "satisfied": estimate <= bound * (1.0 + 3.0 * stderr / max(estimate, 1e-300))}
+    return {"mc_estimate": estimate, "stderr": stderr, "bound": bound}
 
 
 def _check_gaussian_moment(p: float, hypothesis: str) -> None:

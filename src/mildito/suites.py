@@ -437,12 +437,11 @@ def simulate_suite(cfg, run):
     spec = run.ou
     closed = _ou_closed_form(spec, cfg.T - cfg.t0)
 
-    def second_moment(stats):
-        se = float(stats.stderr("phi_stop")[0])
-        out.match("ou_second_moment", float(stats.mean("phi_stop")[0]), closed,
-                  3.0 * se, se)
+    def second_moment(res):
+        se = float(res.stderr_lhs[0])
+        out.match("ou_second_moment", float(res.lhs[0]), closed, 3.0 * se, se)
 
-    out.later(second_moment, run.plan.run_ensemble(
+    out.later(second_moment, run.plan.dynkin_gap(
         testfunctions.squared_norm(), spec, grid, paths=min(cfg.paths, 40_000),
         seed=cfg.seed))
 

@@ -418,6 +418,30 @@ class TestDynkin:
                        TimeGrid(0.0, 0.1, 10), paths=1)
 
 
+class TestStandardError:
+    """A standard error needs two paths, whichever entry point reports it."""
+
+    ONE_PATH = {
+        "martingale_check": lambda *args: martingale_check(*args, paths=1),
+        "weak_estimate_gap": lambda *args: weak_estimate_gap(*args, paths=1),
+        "plan_dynkin_gap": lambda *args: calculus.EnsemblePlan(1).dynkin_gap(
+            *args, paths=1)(),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ONE_PATH))
+    def test_one_path_is_rejected(self, entry):
+        args = (squared_norm(), ou_spec(heat(), 4, 4), TimeGrid(0.0, 0.1, 10))
+        with pytest.raises(ValueError, match="needs at least 2 paths, got 1"):
+            self.ONE_PATH[entry](*args)
+
+    def test_one_path_residuals_read_no_stderr(self):
+        spec, grid = ou_spec(heat(), 4, 4), TimeGrid(0.0, 0.1, 10)
+        w = wiener_sample(grid, 4, 0, 0)
+        assert ito_residual(squared_norm(), spec, grid, w).shape == (1,)
+        assert math.isfinite(calculus.residual_rms(squared_norm(), spec, grid,
+                                                   n_paths=1))
+
+
 class TestMartingale:
     def test_ou_squared_norm(self):
         spec = ou_spec(heat(), 10, 10)
